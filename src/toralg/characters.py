@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from math import comb
 
+from .fock import lattice_box
 from .scalar import Q
 
 
@@ -149,8 +150,7 @@ def sample_lattice_points(N: int, smax: int, draws: int = 8,
         raise ValueError("smax must be non-negative")
     box = (2 * smax + 1) ** N
     if box <= full_cap:
-        from itertools import product
-        return [p for p in product(range(-smax, smax + 1), repeat=N)]
+        return list(lattice_box(N, smax))
     pts = [(0,) * N]
     for p in range(N):
         for sign in (1, -1):

@@ -13,16 +13,13 @@ rational as a "p/q" string, the seed, one entry per check with exact
 witnesses, and a top-level pass flag. Wall time is printed to stderr
 only, so a given config and seed produces byte-identical report text.
 Exit status: 0 when every check passes, 1 when a check fails, 2 for an
-invalid configuration. TORALG_THREADS > 1 fans the independent checks
-of a run to a thread pool; all sampling happens up front on one thread
-and assembly order is fixed, so reports do not depend on the pool.
+invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -35,12 +32,12 @@ from .hvir import (HVContext, HighestWeightData, SugawaraOperator,
                    VermaModule, barred_charges, cbar_closed_form,
                    central_character_gamma0, default_h_vir, rho_sigma,
                    sugawara_charges, symbolic_bracket, verma_singular_scan)
-from .lie_table import (adjoint_module, build_slN_table, casimir_eigenvalue,
-                        load_table, load_table_file, trivial_module)
+from .lie_table import (adjoint_module, casimir_eigenvalue, load_table,
+                        load_table_file, trivial_module)
 from .linear import LinComb
-from .rep import (ActionParams, _key_degree, build_module, rank0_params,
-                  represent, singular_scan, tor_repr, verify_commutator,
-                  verify_virasoro_rank)
+from .rep import (ActionParams, EmptySafeZone, _key_degree, build_module,
+                  rank0_params, represent, singular_scan, tor_repr,
+                  verify_commutator, verify_virasoro_rank)
 from .scalar import Q, parse_q, qstr
 from .toroidal import (AlgebraParams, TorElement, bracket, gdiv_spanning,
                        invariant_form, ksym, spanning_element)
@@ -78,22 +75,8 @@ def _table(name: str):
 
 
 def run_checks(tasks):
-    """Run named nullary callables, each returning a dict; order of the
-    result list always follows the task list. TORALG_THREADS > 1 uses a
-    thread pool (the callables share no mutable sampling state)."""
-    try:
-        threads = int(os.environ.get("TORALG_THREADS", "1"))
-    except ValueError:
-        threads = 1
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(fn) for _name, fn in tasks]
-            results = [f.result() for f in futs]
-    else:
-        results = [fn() for _name, fn in tasks]
-    return [dict(name=name, **res)
-            for (name, _fn), res in zip(tasks, results)]
+    """Run named nullary callables, each returning a dict, in task order."""
+    return [dict(name=name, **fn()) for name, fn in tasks]
 
 
 # -- verify-toroidal -----------------------------------------------------------
@@ -355,7 +338,7 @@ def action_suite(ap: ActionParams, depth: int, smax: int, jmax: int,
         for (kx, ex), (ky, ey) in pairs:
             try:
                 rep = verify_commutator(ex, ey, module, states=states)
-            except ValueError:
+            except EmptySafeZone:
                 skipped += 1
                 continue
             checked += 1
@@ -409,9 +392,11 @@ def cmd_verify_action(args):
 def sugawara_suite(N: int, mu, c, table, mode_bound: int, h_bar=0):
     """Charge bookkeeping and operator checks: the closed form of the
     barred central charge, cancellation of the embedding shift, the
-    Casimir consistency of both eigenvalue paths, and the Sugawara
-    operator's commutation and Virasoro relations on a depth-3 level-c
-    module."""
+    Casimir consistency of both eigenvalue paths, the coset charge c'
+    against that closed form minus the Sugawara charges of the factors
+    present (c dim(gdot)/(c + hv) when gdot is nonzero, (1 - mu c)
+    (N^2 - 1)/(1 - mu c + N) when N >= 2), and the Sugawara operator's
+    commutation and Virasoro relations on a depth-3 level-c module."""
     gamma = central_character_gamma0(N, mu, c)
     sigma = Q(1, N)
 
@@ -440,11 +425,18 @@ def sugawara_suite(N: int, mu, c, table, mode_bound: int, h_bar=0):
 
     def coset():
         b = barred_charges(gamma, sigma)
-        table_sl = build_slN_table(N)
-        s = sugawara_charges(b, table, N, h_bar=h_bar,
-                             table_sl=table_sl if table_sl.dim else None)
-        return {"pass": True, "c_prime": qstr(s.c_prime),
-                "h_prime": qstr(s.h_prime)}
+        s = sugawara_charges(b, table, N, h_bar=h_bar)
+        want = cbar_closed_form(N, mu, c)
+        if table.dim:
+            want -= Q(c) * table.dim / (Q(c) + table.dual_coxeter)
+        if N >= 2:
+            k_sl = 1 - Q(mu) * Q(c)
+            want -= k_sl * (N * N - 1) / (k_sl + N)
+        out = {"pass": s.c_prime == want, "c_prime": qstr(s.c_prime),
+               "h_prime": qstr(s.h_prime)}
+        if s.c_prime != want:
+            out["witness"] = {"expected": qstr(want)}
+        return out
 
     tasks = [("cbar-closed-form", closed_form),
              ("embedding-shift-cancels", shift_cancels),

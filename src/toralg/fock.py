@@ -17,6 +17,7 @@ cocycle is identically 1 and carries no signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .linear import LinComb, lincomb_add_into
 from .scalar import Q, ZERO
@@ -43,12 +44,6 @@ class LatticeParams:
 def vacuum_lattice(N: int) -> LatticeParams:
     """alpha = beta = 0: the lattice half of the vertex algebra itself."""
     return LatticeParams(N, (0,) * N, (0,) * N)
-
-
-def osc_sym(kind: str, p: int, n: int):
-    if kind not in ("u", "v") or n == 0:
-        raise ValueError(f"bad oscillator ({kind}, {p}, {n})")
-    return (kind, p, n)
 
 
 def osc_key(sym):
@@ -119,23 +114,16 @@ def lattice_shift(r, state: LinComb) -> LinComb:
     return LinComb(out)
 
 
-def enumerate_osc(N: int, max_depth: int):
-    """All creation monomials of depth <= max_depth over 2N colors,
-    deepest modes first within each tuple."""
-    syms_at = {}
-    for n in range(1, max_depth + 1):
-        row = []
-        for kind in ("u", "v"):
-            for p in range(1, N + 1):
-                row.append((kind, p, -n))
-        syms_at[n] = sorted(row, key=osc_key)
-    out = []
-    for d in range(max_depth + 1):
-        out.extend(_osc_at_depth(syms_at, d))
-    return out
-
-
-def _osc_at_depth(syms_at, depth):
+def monomials(gens_at, key, depth: int):
+    """Every monomial of total depth `depth` in creation generators, as a
+    tuple of factors in nondecreasing key order. gens_at(n) lists the
+    generators of mode -n (n >= 1) in key order, and key must order
+    deeper modes first. Each mode's generators and keys are computed once.
+    Order: the first factor runs from the deepest mode down, then the
+    rest recursively."""
+    table = {n: [(key(g), g) for g in gens_at(n)] for n in range(1, depth + 1)}
+    # a floor no key is below, so the first factor is unconstrained
+    floor = min((k for row in table.values() for k, _g in row), default=None)
     found = []
 
     def rec(remaining, min_key, acc):
@@ -143,24 +131,33 @@ def _osc_at_depth(syms_at, depth):
             found.append(tuple(acc))
             return
         for n in range(remaining, 0, -1):
-            for sym in syms_at.get(n, ()):
-                k = osc_key(sym)
+            for k, g in table[n]:
                 if k < min_key:
                     continue
-                acc.append(sym)
+                acc.append(g)
                 rec(remaining - n, k, acc)
                 acc.pop()
 
-    rec(depth, (-(depth + 1), "", 0), [])
+    rec(depth, floor, [])
     return found
 
 
-def lattice_box(N: int, smax: int):
-    """All integer vectors with |s_p| <= smax."""
-    out = [()]
-    for _ in range(N):
-        out = [s + (x,) for s in out for x in range(-smax, smax + 1)]
+def enumerate_osc(N: int, max_depth: int):
+    """All creation monomials of depth <= max_depth over 2N colors,
+    deepest modes first within each tuple."""
+    def gens_at(n):
+        return [(kind, p, -n) for kind in ("u", "v") for p in range(1, N + 1)]
+
+    out = []
+    for d in range(max_depth + 1):
+        out.extend(monomials(gens_at, osc_key, d))
     return out
+
+
+def lattice_box(N: int, smax: int):
+    """All integer vectors with |s_p| <= smax, lazily, in lexicographic
+    order."""
+    return product(range(-smax, smax + 1), repeat=N)
 
 
 def enumerate_basis(params: LatticeParams, max_depth: int, smax=0, points=None):

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .fock import monomials
 from .lie_table import SimpleLieTable, WeightModule, casimir_eigenvalue
 from .linear import LinComb, lincomb_add_into
 from .qlinalg import invert, nullspace
@@ -412,29 +413,9 @@ class VermaModule:
         return out
 
     def slice_basis(self, depth: int):
-        """All (monomial, hw_index) at the given depth."""
-        monos = []
-
-        def rec(remaining, min_key, acc):
-            if remaining == 0:
-                monos.append(tuple(acc))
-                return
-            for n in range(remaining, 0, -1):
-                for sym in self.generators_at(n):
-                    k = mode_sort_key(sym)
-                    if k < min_key:
-                        continue
-                    acc.append(sym)
-                    rec(remaining - n, k, acc)
-                    acc.pop()
-
-        rec(depth, (-(depth + 1), -1, -1), [])
-        monos.sort()
+        """All (monomial, hw_index) at the given depth, monomials sorted."""
+        monos = sorted(monomials(self.generators_at, mode_sort_key, depth))
         return [(m, i) for m in monos for i in range(self.hw_dim)]
-
-
-def verma_apply(module: VermaModule, sym, state: LinComb) -> LinComb:
-    return module.apply(sym, state)
 
 
 class OneDimHWModule:
@@ -535,12 +516,6 @@ class SugawaraOperator:
                         acc = acc + mod.apply(a, mod.apply(b, vec)).scale(dual_c)
             out = out + acc.scale(self.prefactor)
         return out
-
-
-def sugawara_mode(module: VermaModule, n: int, fam="g"):
-    """L^Sug(n) as a state -> state map."""
-    op = SugawaraOperator(module, fam)
-    return lambda state: op.apply_mode(n, state)
 
 
 # singular-vector scan on a plain Verma module ------------------------------

@@ -78,19 +78,6 @@ class SimpleLieTable:
             return {k: -c for k, c in rev.items()}
         return {}
 
-    def bracket_comb(self, x: LinComb, y: LinComb) -> LinComb:
-        """Bracket of two combinations of basis indices."""
-        out = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, c in self.bracket(i, j).items():
-                    acc = out.get(k, ZERO) + ci * cj * c
-                    if acc == 0:
-                        out.pop(k, None)
-                    else:
-                        out[k] = acc
-        return LinComb(out)
-
     def pairing(self, i, j):
         return self.form[i][j]
 
@@ -196,34 +183,40 @@ def _diag_to_cartan(diag):
     return coeffs
 
 
-def build_slN_table(N: int, name=None) -> SimpleLieTable:
+def build_slN_table(N: int) -> SimpleLieTable:
     """sl_N structure constants over the basis E_ab (a != b), H_1..H_{N-1},
-    with the trace form tr(xy). For N >= 2 this has (theta|theta) = 2."""
+    with the trace form tr(xy). For N >= 2 this has (theta|theta) = 2.
+    Basis elements are sparse integer matrices {(row, col): entry}."""
     if N < 2:
-        return SimpleLieTable([], [], [], 0, {}, name=name or f"sl{N}")
+        return SimpleLieTable([], [], [], 0, {}, name=f"sl{N}")
     names = []
     mats = []
     for a in range(N):
         for b in range(N):
             if a != b:
                 names.append(f"E{a + 1}{b + 1}")
-                m = [[ZERO] * N for _ in range(N)]
-                m[a][b] = Q(1)
-                mats.append(m)
+                mats.append({(a, b): 1})
     for i in range(N - 1):
         names.append(f"H{i + 1}")
-        m = [[ZERO] * N for _ in range(N)]
-        m[i][i] = Q(1)
-        m[i + 1][i + 1] = Q(-1)
-        mats.append(m)
+        mats.append({(i, i): 1, (i + 1, i + 1): -1})
+    index = {name: k for k, name in enumerate(names)}
+
+    def commutator(x, y):
+        out = {}
+        for (r, k), u in x.items():
+            for (k2, c), v in y.items():
+                if k == k2:
+                    out[(r, c)] = out.get((r, c), 0) + u * v
+                if c == r:
+                    out[(k2, k)] = out.get((k2, k), 0) - u * v
+        return out
 
     def expand(mat):
         out = {}
-        for a in range(N):
-            for b in range(N):
-                if a != b and mat[a][b] != 0:
-                    out[names.index(f"E{a + 1}{b + 1}")] = mat[a][b]
-        diag = [mat[a][a] for a in range(N)]
+        for (a, b), v in sorted(mat.items()):
+            if a != b and v != 0:
+                out[index[f"E{a + 1}{b + 1}"]] = v
+        diag = [mat.get((a, a), 0) for a in range(N)]
         for i, c in enumerate(_diag_to_cartan(diag)):
             if c != 0:
                 out[N * (N - 1) + i] = c
@@ -233,13 +226,10 @@ def build_slN_table(N: int, name=None) -> SimpleLieTable:
     dim = len(names)
     for i in range(dim):
         for j in range(i + 1, dim):
-            a, b = mats[i], mats[j]
-            comm = [[sum(a[r][k] * b[k][c] - b[r][k] * a[k][c] for k in range(N))
-                     for c in range(N)] for r in range(N)]
-            for k, coeff in expand(comm).items():
+            for k, coeff in expand(commutator(mats[i], mats[j])).items():
                 brackets.append([i, j, k, qstr(coeff)])
-    form = [[sum(mats[i][r][c] * mats[j][c][r] for r in range(N) for c in range(N))
-             for j in range(dim)] for i in range(dim)]
+    form = [[qstr(sum(u * y.get((c, r), 0) for (r, c), u in x.items()))
+             for y in mats] for x in mats]
     gram = [[qstr(Q(min(i + 1, j + 1)) - Q((i + 1) * (j + 1), N))
              for j in range(N - 1)] for i in range(N - 1)]
     theta = [0] * (N - 1)
@@ -248,9 +238,8 @@ def build_slN_table(N: int, name=None) -> SimpleLieTable:
     else:
         theta[0] = theta[-1] = 1
     weights = {"fundamental_gram": gram, "rho": [1] * (N - 1), "highest_root": theta}
-    return SimpleLieTable(names, brackets,
-                          [[qstr(x) for x in row] for row in form],
-                          qstr(Q(N)), weights, name=name or f"sl{N}")
+    return SimpleLieTable(names, brackets, form, qstr(Q(N)), weights,
+                          name=f"sl{N}")
 
 
 def sln_psi(N: int, p: int, s: int) -> LinComb:

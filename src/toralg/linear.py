@@ -91,13 +91,6 @@ class LinComb:
     def items(self):
         return self.terms.items()
 
-    def map_symbols(self, fn):
-        """Apply sym -> LinComb map linearly."""
-        out = LinComb.zero()
-        for sym, coeff in self.terms.items():
-            out = out + fn(sym).scale(coeff)
-        return out
-
     def sorted_items(self, key=None):
         return sorted(self.terms.items(), key=(lambda kv: key(kv[0])) if key else None)
 

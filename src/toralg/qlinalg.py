@@ -7,7 +7,7 @@ elimination with exact rationals is plenty.
 
 from __future__ import annotations
 
-from .scalar import Q, ZERO, ONE
+from .scalar import ZERO, ONE
 
 
 def mat_mul(a, b):
@@ -25,10 +25,6 @@ def mat_mul(a, b):
                 if bk[j] != 0:
                     oi[j] = oi[j] + c * bk[j]
     return out
-
-
-def mat_vec(a, v):
-    return [sum((a[i][k] * v[k] for k in range(len(v)) if v[k] != 0), ZERO) for i in range(len(a))]
 
 
 def identity(n):
@@ -92,17 +88,3 @@ def rank(mat):
     if not mat:
         return 0
     return len(rref(mat)[1])
-
-
-def solve(mat, rhs):
-    """One exact solution of mat @ x = rhs, or None if inconsistent."""
-    n = len(mat)
-    cols = len(mat[0]) if n else 0
-    aug = [list(mat[i]) + [Q(rhs[i])] for i in range(n)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [ZERO] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x

@@ -36,7 +36,6 @@ f-factor kills every current and Virasoro term) with d_0 shifted by +1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 from . import fock
 from .fock import LatticeParams, osc_depth
@@ -184,11 +183,6 @@ class TruncatedModule:
                               for d in range(self.depth + 1)]
         return self._f_slices[k]
 
-    def lattice_points(self):
-        """Lexicographic iteration of the window box (lazy)."""
-        rng = range(-self.smax, self.smax + 1)
-        return _iproduct(rng, repeat=self.N)
-
     def basis_at(self, s):
         s = tuple(int(x) for x in s)
         out = []
@@ -200,7 +194,7 @@ class TruncatedModule:
         return out
 
     def basis(self):
-        for s in self.lattice_points():
+        for s in fock.lattice_box(self.N, self.smax):
             for w in self.basis_at(s):
                 yield w
 
@@ -425,11 +419,17 @@ class CommutatorReport:
         return doc
 
 
+class EmptySafeZone(ValueError):
+    """No given window vector is safe for the pair: the check is skipped,
+    not failed."""
+
+
 def verify_commutator(x: TorElement, y: TorElement, module: TruncatedModule,
                       states=None) -> CommutatorReport:
     """Check [rho(x), rho(y)] = rho([x, y]) exactly on every given
     window vector whose images under both operators and both
-    compositions stay inside the window. Raises if no vector is safe."""
+    compositions stay inside the window. Raises EmptySafeZone if no
+    vector is safe."""
     opx = represent(x, module)
     opy = represent(y, module)
     opz = represent(bracket(x, y), module)
@@ -457,7 +457,7 @@ def verify_commutator(x: TorElement, y: TorElement, module: TruncatedModule,
                        "residual": qstr(cc)}
             break
     if safe == 0:
-        raise ValueError("empty safe zone")
+        raise EmptySafeZone("empty safe zone")
     return CommutatorReport(x, y, safe, ok, witness)
 
 

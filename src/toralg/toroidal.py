@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .fock import lattice_box
 from .lie_table import SimpleLieTable
 from .linear import LinComb, lincomb_add_into
 from .scalar import Q, ZERO
@@ -59,10 +60,6 @@ def ksym(s, p):
 
 def dsym(s, a):
     return ("d", tuple(s), a)
-
-
-def sym_sort_key(sym):
-    return (sym[0], sym[1], sym[2])
 
 
 def _add_idx(s, m):
@@ -196,11 +193,6 @@ def bracket(x: TorElement, y: TorElement) -> TorElement:
     return TorElement(LinComb(out), x.params)
 
 
-def reduce_kassel_center(x: TorElement) -> TorElement:
-    """Public name for the canonical-form map (idempotent)."""
-    return TorElement(kreduce(x.lc), x.params, reduced=True)
-
-
 def divergence(x: TorElement) -> dict:
     """Divergence of the Der part: degree s -> sum_p a_p s_p. Cur and Cen
     parts are ignored (their divergence is not defined here)."""
@@ -313,7 +305,7 @@ def gdiv_spanning(params: AlgebraParams, jmax: int, rmax: int):
     """All spanning elements of the divergence-free subalgebra with
     |j| <= jmax and |r|_inf <= rmax, zero elements skipped."""
     N = params.N
-    rs = _box(N, rmax)
+    rs = list(lattice_box(N, rmax))
     out = []
 
     def emit(key):
@@ -342,14 +334,6 @@ def gdiv_spanning(params: AlgebraParams, jmax: int, rmax: int):
             for a in range(1, N + 1):
                 emit(("dhat", j, r, a))
     return out
-
-
-def _box(N, rmax):
-    """All of {-rmax..rmax}^N, lexicographic."""
-    if N == 0:
-        return [()]
-    inner = _box(N - 1, rmax)
-    return [(v,) + rest for v in range(-rmax, rmax + 1) for rest in inner]
 
 
 def gdiv_decompose(x: TorElement, params: AlgebraParams):

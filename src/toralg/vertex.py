@@ -7,9 +7,8 @@ the f-factor (a highest-weight module of Virasoro plus current
 algebras). A vacuum-side state, whose field we take moments of, is a
 3-tuple (osc, r, fmono) in the corresponding vertex algebra.
 
-field_moment(a, k, P) is the coefficient of z^P in z^k Y(a, z); with
-mom(a, m) = [z^m] Y(a, z) = a_(-m-1) everything normalizes to k = 0.
-Moments are computed by peeling one symbol of a at a time:
+The moment mom(a, m) = [z^m] Y(a, z) = a_(-m-1) is computed by peeling
+one symbol of a at a time:
 
   * oscillator x(-n):  Y(x(-n)b, z) = :(d^{n-1}x(z)/(n-1)!) Y(b, z):
     with x(j) z^{-j-n} carrying binom(-j-1, n-1);
@@ -138,10 +137,6 @@ class VertexSpace:
         for w, c in state.items():
             out = out + self._mom_basis(a, m, w).scale(c)
         return out
-
-    def field_moment(self, a, k: int, P: int, state: LinComb) -> LinComb:
-        """Coefficient of z^P in z^k Y(a, z) applied to state."""
-        return self.mom(a, P - k, state)
 
     def _mom_basis(self, a, m, w) -> LinComb:
         key = (a, m, w)

@@ -1,6 +1,6 @@
 """Command-line driver: exit codes (0 pass, 1 check failure, 2 invalid
-config), JSON report schema, byte-identical determinism (including
-under a thread pool), file exports, and the documented rejection
+config), JSON report schema, byte-identical determinism, file exports,
+planted failures that checks must report, and the documented rejection
 messages."""
 
 import contextlib
@@ -8,29 +8,24 @@ import io
 import json
 import os
 import unittest
+from unittest import mock
 
+from toralg import cli
 from toralg.cli import main
+from toralg.hvir import SugawaraCharges
+from toralg.lie_table import load_table
+from toralg.rep import ActionParams
+from toralg.scalar import Q
+from toralg.toroidal import AlgebraParams
 
 
-def run_cli(*argv, env=None):
+def run_cli(*argv):
     """Invoke the driver in-process; returns (exit_code, report_or_None,
     stdout_text)."""
-    saved = {}
-    if env:
-        for k, v in env.items():
-            saved[k] = os.environ.get(k)
-            os.environ[k] = v
     out = io.StringIO()
     err = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(list(argv))
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
     text = out.getvalue()
     try:
         report = json.loads(text)
@@ -81,6 +76,30 @@ class TestExitCodes(unittest.TestCase):
         code, _, _ = run_cli("singular-scan", "--thm56", "--max-degree", "1")
         self.assertEqual(code, 2)
 
+    def test_wrong_coset_charge_is_one(self):
+        real = cli.sugawara_charges
+
+        def planted(*args, **kwargs):
+            s = real(*args, **kwargs)
+            return SugawaraCharges(s.c_prime + 1, s.h_prime)
+
+        with mock.patch.object(cli, "sugawara_charges", planted):
+            code, rep, _ = run_cli("sugawara", "--N", "2", "--table", "rank0")
+        self.assertEqual(code, 1)
+        by_name = {c["name"]: c for c in rep["checks"]}
+        self.assertFalse(by_name["coset-charges"]["pass"])
+        self.assertTrue(by_name["cbar-closed-form"]["pass"])
+
+    def test_commutator_error_is_not_a_skip(self):
+        # only an empty safe zone skips a pair; any other error in
+        # verify_commutator marks a bug and must reach the caller
+        ap = ActionParams(AlgebraParams(2, load_table("sl2")),
+                          (Q(1, 3), Q(1, 5)), (1, 0), h_bar=Q(1, 7))
+        with mock.patch("toralg.rep.bracket",
+                        side_effect=ValueError("planted residue")):
+            with self.assertRaisesRegex(ValueError, "planted residue"):
+                cli.action_suite(ap, 2, 1, 2, 1, 3, 2)
+
 
 class TestReports(unittest.TestCase):
     def test_schema(self):
@@ -104,14 +123,12 @@ class TestReports(unittest.TestCase):
         self.assertEqual(rep["config"]["c"], "3/4")
         self.assertEqual(rep["config"]["alpha"], ["1/3", "1/5"])
 
-    def test_determinism_and_threads(self):
+    def test_determinism(self):
         argv = ("verify-action", "--samples", "4", "--seed", "9",
                 "--depth", "2")
         _, _, a = run_cli(*argv)
         _, _, b = run_cli(*argv)
-        _, _, c = run_cli(*argv, env={"TORALG_THREADS": "3"})
         self.assertEqual(a, b)
-        self.assertEqual(a, c)
 
     def test_seed_echoed(self):
         _, rep, _ = run_cli("verify-toroidal", "--samples", "5",

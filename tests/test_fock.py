@@ -151,9 +151,16 @@ class TestEnumeration(unittest.TestCase):
         self.assertEqual(len(set(oscs)), len(oscs))
         for o in oscs:
             self.assertEqual(tuple(sorted(o, key=lambda s: (s[2], s[0], s[1]))), o)
+        u1, u2, u3 = (("u", 1, -n) for n in (1, 2, 3))
+        v1, v2, v3 = (("v", 1, -n) for n in (1, 2, 3))
+        self.assertEqual(enumerate_osc(1, 3), [
+            (), (u1,), (v1,),
+            (u2,), (v2,), (u1, u1), (u1, v1), (v1, v1),
+            (u3,), (v3,), (u2, u1), (u2, v1), (v2, u1), (v2, v1),
+            (u1, u1, u1), (u1, u1, v1), (u1, v1, v1), (v1, v1, v1)])
 
     def test_box_and_points(self):
-        self.assertEqual(len(lattice_box(2, 1)), 9)
+        self.assertEqual(len(list(lattice_box(2, 1))), 9)
         p2 = LatticeParams(2, (0, 0), (0, 0))
         pts = [(0, 0), (3, -3)]
         basis = enumerate_basis(p2, 1, points=pts)

@@ -24,9 +24,7 @@ from toralg.hvir import (
     mode_sort_key,
     rho_sigma,
     sugawara_charges,
-    sugawara_mode,
     symbolic_bracket,
-    verma_apply,
     verma_singular_scan,
 )
 from toralg.lie_table import (
@@ -265,6 +263,12 @@ class TestVermaModule(unittest.TestCase):
         self.assertEqual(len(vac.slice_basis(1)), 0)
         hv = hvir_module(0, 0, 1, 1, 1)
         self.assertEqual(len(hv.slice_basis(2)), 5)
+        L1, L2, L3 = (("L", -n) for n in (1, 2, 3))
+        I1, I2, I3 = (("I", -n) for n in (1, 2, 3))
+        self.assertEqual(hv.slice_basis(3), [
+            ((I3,), 0), ((I2, I1), 0), ((I2, L1), 0), ((I1, I1, I1), 0),
+            ((L3,), 0), ((L2, I1), 0), ((L2, L1), 0), ((L1, I1, I1), 0),
+            ((L1, L1, I1), 0), ((L1, L1, L1), 0)])
         fb = fbar_module(Q(2), Q(1), Q(1), 0,
                          adjoint_module(SL2), trivial_module(SLN2))
         monos = {m for (m, _) in fb.slice_basis(2)}
@@ -292,12 +296,6 @@ class TestVermaModule(unittest.TestCase):
         hw_e = mod.vacuum_state(mod.hw_join(0, 0))
         got = mod.apply_many([("g", 0, 1), ("g", 2, -1)], hw_e)
         self.assertEqual(got, hw_e.scale(3))
-
-    def test_verma_apply_alias(self):
-        mod = hvir_module(0, 0, 1, 1, 1)
-        v = mod.vacuum_state()
-        self.assertEqual(verma_apply(mod, ("L", -2), v),
-                         mod.apply(("L", -2), v))
 
 
 class TestSugawara(unittest.TestCase):
@@ -353,9 +351,9 @@ class TestSugawara(unittest.TestCase):
 
     def test_mode_closure(self):
         adj = self.affine(adjoint_module(SL2))
-        l0 = sugawara_mode(adj, 0, "g")
+        l0 = SugawaraOperator(adj, "g").apply_mode
         hw = adj.vacuum_state()
-        self.assertEqual(l0(hw), hw.scale(Q(2, 3)))
+        self.assertEqual(l0(0, hw), hw.scale(Q(2, 3)))
 
 
 class TestSingularScan(unittest.TestCase):

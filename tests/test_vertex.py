@@ -90,14 +90,6 @@ class TestFreeFieldMoments(unittest.TestCase):
                     self.space.mom(a2, m, w),
                     self.space.osc_op(("u", 1, -m - 2), w).scale(m + 1))
 
-    def test_field_moment_power_shift(self):
-        a = vac_state([("v", 1, -1)], (0,))
-        w = self.pool()[1]
-        for k in range(-2, 3):
-            for P in range(-2, 3):
-                self.assertEqual(self.space.field_moment(a, k, P, w),
-                                 self.space.mom(a, P - k, w))
-
 
 class TestLatticeMoments(unittest.TestCase):
     def test_pure_shift_powers(self):
