@@ -13,7 +13,8 @@ rational as a "p/q" string, the seed, one entry per check with exact
 witnesses, and a top-level pass flag. Wall time is printed to stderr
 only, so a given config and seed produces byte-identical report text.
 Exit status: 0 when every check passes, 1 when a check fails, 2 for an
-invalid configuration.
+invalid configuration, 3 for an internal error (its traceback goes to
+stderr and nothing to stdout).
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import json
 import random
 import sys
 import time
+import traceback
 
+from . import ConfigError
 from .characters import (CharacterTable, colored_partition_series,
                          compare_character, graded_character,
                          oscillator_dimensions, sample_lattice_points)
@@ -41,10 +44,6 @@ from .rep import (ActionParams, EmptySafeZone, _key_degree, build_module,
 from .scalar import Q, parse_q, qstr
 from .toroidal import (AlgebraParams, TorElement, bracket, gdiv_spanning,
                        invariant_form, ksym, spanning_element)
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _rat(text):
@@ -222,6 +221,8 @@ def _action_params(args) -> ActionParams:
 
 
 def _sample_states(module, rng, max_points: int, per_point: int):
+    if max_points < 1:
+        raise ConfigError("max_points must be positive")
     pts = sample_lattice_points(module.N, module.smax)
     if len(pts) > max_points:
         pts = [pts[0]] + rng.sample(pts[1:], max_points - 1)
@@ -612,6 +613,8 @@ def scan_suite(ap: ActionParams, depth: int, smax: int, max_degree: int,
         raise ConfigError(
             "raising-set lattice box too large at this rank; "
             "reduce --elem-lattice-bound (0 keeps the scan exact)")
+    if max_degree > depth:
+        raise ConfigError("max_degree exceeds the window depth")
     module = build_module(ap, depth, smax)
 
     def kernel():
@@ -756,9 +759,12 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         report = COMMANDS[args.command](args)
-    except ValueError as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

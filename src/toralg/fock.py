@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+from . import ConfigError
 from .linear import LinComb, lincomb_add_into
 from .scalar import Q, ZERO
 
@@ -32,11 +33,11 @@ class LatticeParams:
 
     def __post_init__(self):
         if self.N < 1:
-            raise ValueError("lattice rank must be at least 1")
+            raise ConfigError("lattice rank must be at least 1")
         alpha = tuple(Q(a) for a in self.alpha)
         beta = tuple(int(b) for b in self.beta)
         if len(alpha) != self.N or len(beta) != self.N:
-            raise ValueError("alpha and beta must have length N")
+            raise ConfigError("alpha and beta must have length N")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 

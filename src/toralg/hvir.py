@@ -25,11 +25,12 @@ The barred algebra is the same without I, with its own Virasoro central.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .fock import monomials
 from .lie_table import SimpleLieTable, WeightModule, casimir_eigenvalue
 from .linear import LinComb, lincomb_add_into
-from .qlinalg import invert, nullspace
+from .qlinalg import kernel
 from .scalar import Q, ZERO
 
 _FAMRANK = {"L": 0, "I": 1, "g": 2, "sl": 3}
@@ -487,7 +488,7 @@ class SugawaraOperator:
         if kappa == 0:
             raise ValueError("critical level: Sugawara undefined")
         self.prefactor = Q(1) / (2 * kappa)
-        self.dual = invert(table.form)
+        self.dual = table.dual_basis()
 
     def central_charge(self):
         return self.level * self.table.dim / (self.level + self.table.dual_coxeter)
@@ -523,24 +524,6 @@ class SugawaraOperator:
 def verma_singular_scan(module: VermaModule, max_depth: int, raising_syms):
     """Exact kernel of the stacked raising operators on each graded slice
     up to max_depth. Returns a list of (depth, vector-as-LinComb)."""
-    found = []
-    for depth in range(1, max_depth + 1):
-        basis = module.slice_basis(depth)
-        if not basis:
-            continue
-        index = {b: i for i, b in enumerate(basis)}
-        rows = []
-        for sym in raising_syms:
-            drop = mode_of(sym)
-            target = module.slice_basis(depth - drop)
-            tindex = {b: i for i, b in enumerate(target)}
-            block = [[ZERO] * len(basis) for _ in target]
-            for j, b in enumerate(basis):
-                img = module.apply(sym, LinComb.single(b))
-                for term, c in img.items():
-                    block[tindex[term]][j] = c
-            rows.extend(block)
-        for vec in nullspace(rows, cols=len(basis)):
-            found.append((depth, LinComb(
-                {basis[i]: c for i, c in enumerate(vec) if c != 0})))
-    return found
+    ops = [partial(module.apply, sym) for sym in raising_syms]
+    return [(depth, vec) for depth in range(1, max_depth + 1)
+            for vec in kernel(module.slice_basis(depth), ops)]

@@ -37,15 +37,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import fock
+from . import ConfigError, fock
 from .fock import LatticeParams, osc_depth
 from .hvir import (HVContext, HighestWeightData, OneDimHWModule, VermaModule,
                    cbar_closed_form)
 from .lie_table import build_slN_table, load_table, module_by_label, sln_psi, \
     trivial_module
 from .linear import LinComb, lincomb_add_into
-from .qlinalg import nullspace
-from .scalar import Q, ZERO, qstr
+from .qlinalg import kernel
+from .scalar import Q, qstr
 from .toroidal import AlgebraParams, TorElement, bracket, gdiv_decompose, \
     gdiv_spanning
 from .vertex import fdepth, nth_product, omega_total, vac_state, vacuum_space, \
@@ -80,11 +80,11 @@ class ActionParams:
         if self.rank0:
             alg = self.algebra
             if alg.N != 12 or alg.mu != 1 or alg.c != 1 or alg.table.dim != 0:
-                raise ValueError(
+                raise ConfigError(
                     "rank-0 mode needs N=12, mu=c=1 and the empty table")
             if self.h_bar != 0 or self.module_v != "trivial" \
                     or self.module_w != "trivial":
-                raise ValueError("rank-0 mode needs a trivial f-factor")
+                raise ConfigError("rank-0 mode needs a trivial f-factor")
 
     @property
     def lattice(self) -> LatticeParams:
@@ -151,7 +151,7 @@ class TruncatedModule:
 
     def __init__(self, params: ActionParams, depth: int, smax: int):
         if depth < 0 or smax < 0:
-            raise ValueError("empty window")
+            raise ConfigError("empty window")
         self.params = params
         self.depth = int(depth)
         self.smax = int(smax)
@@ -519,7 +519,7 @@ def singular_scan(module: TruncatedModule, max_degree: int,
         raise ValueError("max_degree exceeds the window depth")
     if points is None:
         points = [(0,) * module.N]
-    ops = [represent(se.element, module)
+    ops = [represent(se.element, module).apply
            for se in raising_set(module.params.algebra, jmax, rmax)]
     found = []
     for s0 in points:
@@ -528,20 +528,6 @@ def singular_scan(module: TruncatedModule, max_degree: int,
         for w in module.basis_at(s0):
             by_depth.setdefault(module.state_depth(w), []).append(w)
         for d in range(1, max_degree + 1):
-            basis = by_depth.get(d, [])
-            if not basis:
-                continue
-            rows = {}
-            for oi, op in enumerate(ops):
-                for ci, w in enumerate(basis):
-                    img = op.apply(LinComb.single(w))
-                    for term, cc in img.items():
-                        row = rows.get((oi, term))
-                        if row is None:
-                            row = [ZERO] * len(basis)
-                            rows[(oi, term)] = row
-                        row[ci] = cc
-            for vec in nullspace(list(rows.values()), cols=len(basis)):
-                found.append((d, s0, LinComb(
-                    {basis[i]: cc for i, cc in enumerate(vec) if cc != 0})))
+            found.extend((d, s0, vec)
+                         for vec in kernel(by_depth.get(d, []), ops))
     return found

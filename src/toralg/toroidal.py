@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import ConfigError
 from .fock import lattice_box
 from .lie_table import SimpleLieTable
 from .linear import LinComb, lincomb_add_into
@@ -43,9 +44,9 @@ class AlgebraParams:
         object.__setattr__(self, "mu", Q(self.mu))
         object.__setattr__(self, "c", Q(self.c))
         if self.N < 1:
-            raise ValueError("N must be >= 1")
+            raise ConfigError("N must be >= 1")
         if self.c == 0:
-            raise ValueError("c must be nonzero (it divides the d-hat tail)")
+            raise ConfigError("c must be nonzero (it divides the d-hat tail)")
 
 
 # symbols ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Command-line driver: exit codes (0 pass, 1 check failure, 2 invalid
-config), JSON report schema, byte-identical determinism, file exports,
+config, 3 internal error), JSON report schema, byte-identical determinism, file exports,
 planted failures that checks must report, and the documented rejection
 messages."""
 
@@ -19,11 +19,11 @@ from toralg.scalar import Q
 from toralg.toroidal import AlgebraParams
 
 
-def run_cli(*argv):
+def run_cli(*argv, err=None):
     """Invoke the driver in-process; returns (exit_code, report_or_None,
-    stdout_text)."""
+    stdout_text). Stderr goes to err when given."""
     out = io.StringIO()
-    err = io.StringIO()
+    err = io.StringIO() if err is None else err
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     text = out.getvalue()
@@ -53,10 +53,13 @@ class TestExitCodes(unittest.TestCase):
         self.assertIn("witness", bad[0])
 
     def test_invalid_config_is_two(self):
-        code, rep, _ = run_cli("verify-action", "--N", "2", "--mu", "1",
-                               "--c", "0")
-        self.assertEqual(code, 2)
-        self.assertIsNone(rep)
+        for argv in (("verify-action", "--N", "2", "--mu", "1", "--c", "0"),
+                     ("singular-scan", "--max-degree", "5"),
+                     ("verify-action", "--depth", "-1")):
+            with self.subTest(argv=argv):
+                code, rep, _ = run_cli(*argv)
+                self.assertEqual(code, 2)
+                self.assertIsNone(rep)
 
     def test_bad_rational_is_two(self):
         code, _, _ = run_cli("verify-toroidal", "--mu", "1/0")
@@ -99,6 +102,19 @@ class TestExitCodes(unittest.TestCase):
                         side_effect=ValueError("planted residue")):
             with self.assertRaisesRegex(ValueError, "planted residue"):
                 cli.action_suite(ap, 2, 1, 2, 1, 3, 2)
+
+    def test_internal_error_is_three(self):
+        # a bug is neither a check failure nor a configuration error: the
+        # traceback goes to stderr and no report to stdout
+        err = io.StringIO()
+        with mock.patch("toralg.rep.bracket",
+                        side_effect=ValueError("planted residue")):
+            code, _, text = run_cli("verify-action", "--depth", "2",
+                                    "--samples", "3", "--seed", "2", err=err)
+        self.assertEqual(code, 3)
+        self.assertEqual(text, "")
+        self.assertIn("Traceback", err.getvalue())
+        self.assertIn("planted residue", err.getvalue())
 
 
 class TestReports(unittest.TestCase):

@@ -373,6 +373,15 @@ class TestSingularScan(unittest.TestCase):
         self.assertEqual(3 * a + 2 * b, 0)
         self.assertNotEqual(a, 0)
 
+    def test_multi_term_vector_normal_form(self):
+        # M(c=0, h=5/8): h = h_{1,2}, one null vector at depth 2, reported
+        # with coefficient 1 on the last basis monomial
+        mod = VermaModule(HV_CTX, {"Vir": Q(0)}, HighestWeightData(h=Q(5, 8)))
+        found = verma_singular_scan(mod, 3, [("L", 1), ("L", 2)])
+        self.assertEqual(found, [(2, LinComb({
+            ((("L", -1), ("L", -1)), 0): Q(1),
+            ((("L", -2),), 0): Q(-3, 2)}))])
+
     def test_generic_point_is_clean(self):
         mod = VermaModule(HV_CTX, {"Vir": Q(3, 5)},
                           HighestWeightData(h=Q(1, 7)))
