@@ -515,6 +515,8 @@ def char_suite_thm56(max_n: int, smax: int):
     """Character of the rank-0 module: counted dimensions against the
     dual-algorithm series, explicit enumeration at low depth, and
     s-independence of the tabulated columns."""
+    if max_n < 0 or smax < 0:
+        raise ConfigError("depth and lattice bound must be non-negative")
     dims = oscillator_dimensions(12, max_n)
     series = colored_partition_series(24, max_n)
     points = sample_lattice_points(12, smax)

@@ -67,15 +67,15 @@ def osc_depth(osc) -> int:
     return -sum(sym[2] for sym in osc)
 
 
+def base_weight(params: LatticeParams, s):
+    """(gamma|gamma)/2 = (alpha+s).beta, the weight of e^gamma."""
+    return sum(((params.alpha[p] + s[p]) * params.beta[p] for p in range(params.N)), ZERO)
+
+
 def hyp_weight(params: LatticeParams, state):
     """(gamma|gamma)/2 + oscillator depth = (alpha+s).beta + depth."""
     osc, s = state
-    w = sum(((params.alpha[p] + s[p]) * params.beta[p] for p in range(params.N)), ZERO)
-    return w + osc_depth(osc)
-
-
-def base_weight(params: LatticeParams, s):
-    return sum(((params.alpha[p] + s[p]) * params.beta[p] for p in range(params.N)), ZERO)
+    return base_weight(params, s) + osc_depth(osc)
 
 
 def oscillator_apply(params: LatticeParams, sym, state: LinComb) -> LinComb:

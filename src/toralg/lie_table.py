@@ -311,6 +311,9 @@ def adjoint_module(table: SimpleLieTable) -> WeightModule:
     return WeightModule(table, mats, hw, "adjoint")
 
 
+MODULE_LABELS = ("trivial", "adjoint")
+
+
 def module_by_label(table: SimpleLieTable, label: str) -> WeightModule:
     if label == "trivial":
         return trivial_module(table)

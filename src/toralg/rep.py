@@ -41,15 +41,15 @@ from . import ConfigError, fock
 from .fock import LatticeParams, osc_depth
 from .hvir import (HVContext, HighestWeightData, OneDimHWModule, VermaModule,
                    cbar_closed_form)
-from .lie_table import build_slN_table, load_table, module_by_label, sln_psi, \
-    trivial_module
+from .lie_table import MODULE_LABELS, build_slN_table, load_table, \
+    module_by_label, sln_psi, trivial_module
 from .linear import LinComb, lincomb_add_into
 from .qlinalg import kernel
 from .scalar import Q, qstr
 from .toroidal import AlgebraParams, TorElement, bracket, gdiv_decompose, \
     gdiv_spanning
-from .vertex import fdepth, nth_product, omega_total, vac_state, vacuum_space, \
-    VertexSpace
+from .vertex import fdepth, mod_depth, nth_product, omega_total, vac_state, \
+    vacuum_space, VertexSpace
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,10 @@ class ActionParams:
         if shift is None:
             shift = 1 if self.rank0 else 0
         object.__setattr__(self, "d0_shift", Q(shift))
+        for label in (self.module_v, self.module_w):
+            if label not in MODULE_LABELS:
+                raise ConfigError(f"module {label!r} is not realized; "
+                                  f"use one of {', '.join(MODULE_LABELS)}")
         if self.rank0:
             alg = self.algebra
             if alg.N != 12 or alg.mu != 1 or alg.c != 1 or alg.table.dim != 0:
@@ -206,7 +210,7 @@ class TruncatedModule:
     # -- gradings -------------------------------------------------------------
 
     def state_depth(self, w) -> int:
-        return osc_depth(w[0]) + fdepth(w[2])
+        return mod_depth(w)
 
     def weight(self, w):
         return self.space.mod_weight(w)

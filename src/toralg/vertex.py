@@ -22,6 +22,14 @@ Each moment applied to a basis state is a finite exact computation: the
 annihilation halves are bounded by the oscillator/PBW content of the
 state, the creation halves by the weight floor of the target lattice
 point (every state at shift s weighs at least (alpha+s).beta + h).
+
+The floor is tested over integers. A moment of a = (osc, r, fmono)
+carries a state w at shift s to shift s + r, and the two floors differ
+by exactly (alpha+s+r).beta - (alpha+s).beta = r.beta: alpha and h
+cancel, and r.beta is an integer because r and beta are integral. Since
+mom(a, m) w weighs mod_weight(w) + vac_weight(a) + m, it vanishes unless
+depth(w) + depth(a) + m >= r.beta, every depth (oscillator plus
+f-depth) an integer, so no rational sum is formed per lattice point.
 """
 
 from __future__ import annotations
@@ -45,9 +53,17 @@ def fdepth(fmono) -> int:
     return -sum(mode_of(sym) for sym in fmono)
 
 
-def vac_weight(a):
+def vac_weight(a) -> int:
+    """Weight of a vacuum-side state: its oscillator plus f-depth (e^{ru}
+    weighs (ru|ru)/2 = 0, as u is isotropic)."""
     osc, _r, fmono = a
-    return Q(osc_depth(osc) + fdepth(fmono))
+    return osc_depth(osc) + fdepth(fmono)
+
+
+def mod_depth(w) -> int:
+    """Oscillator plus f-depth of a module state: its weight above the
+    floor of its lattice point."""
+    return osc_depth(w[0]) + fdepth(w[2])
 
 
 def omega_hyp(N: int) -> LinComb:
@@ -84,12 +100,11 @@ class VertexSpace:
         return [((), s, (), i) for i in range(self.fmod.hw_dim)]
 
     def mod_weight(self, w):
-        osc, s, fmono, _ = w
-        return fock.base_weight(self.lat, s) + osc_depth(osc) \
-            + self.h_bar + fdepth(fmono)
+        return fock.base_weight(self.lat, w[1]) + self.h_bar + mod_depth(w)
 
-    def base_at(self, s):
-        return fock.base_weight(self.lat, s) + self.h_bar
+    def rbeta(self, r) -> int:
+        """r.beta: how far the weight floor rises from shift s to s + r."""
+        return sum(rp * bp for rp, bp in zip(r, self.lat.beta))
 
     # -- primitive operators ------------------------------------------------
 
@@ -144,10 +159,8 @@ class VertexSpace:
         if hit is not None:
             return hit
         osc_a, r, fmono_a = a
-        _osc_w, s, fmono_w, _fh = w
-        s2 = tuple(si + ri for si, ri in zip(s, r))
         # weight floor of the target lattice point
-        if self.mod_weight(w) + vac_weight(a) + m < self.base_at(s2):
+        if mod_depth(w) + vac_weight(a) + m < self.rbeta(r):
             out = LinComb.zero()
         elif osc_a:
             out = self._osc_mom(a, m, w)
@@ -176,10 +189,9 @@ class VertexSpace:
                 out = out + self.mom(b, m + j + n, xw).scale(c)
         # creation half: x(j), j <= -1, applied last; bounded by the
         # weight floor for the inner moment
-        s2 = tuple(si + ri for si, ri in zip(w[1], r))
-        pmin = self.base_at(s2) - self.mod_weight(w) - vac_weight(b)
+        pmin = self.rbeta(r) - mod_depth(w) - vac_weight(b)
         j = -1
-        while Q(m + j + n) >= pmin:
+        while m + j + n >= pmin:
             c = binom(-j - 1, n - 1)
             if c != 0:
                 inner = self.mom(b, m + j + n, wlc)
@@ -216,10 +228,9 @@ class VertexSpace:
             if xw:
                 out = out + self.mom(b, m + j + n, xw).scale(c)
         # creation half
-        s2 = tuple(si + ri for si, ri in zip(w[1], r))
-        pmin = self.base_at(s2) - self.mod_weight(w) - vac_weight(b)
+        pmin = self.rbeta(r) - mod_depth(w) - vac_weight(b)
         j = right_start - 1
-        while Q(m + j + n) >= pmin:
+        while m + j + n >= pmin:
             c = coeff(j)
             if c != 0:
                 inner = self.mom(b, m + j + n, wlc)
@@ -231,7 +242,7 @@ class VertexSpace:
     def _lattice_mom(self, r, m, w):
         if not any(r):
             return LinComb.single(w) if m == 0 else LinComb.zero()
-        rbeta = sum(rp * bp for rp, bp in zip(r, self.lat.beta))
+        rbeta = self.rbeta(r)
         shifted = self.shift_op(r, LinComb.single(w))
         out = LinComb.zero()
         for t, lc in self._eplus(r, shifted).items():
@@ -368,7 +379,7 @@ def bracket_expand(space: VertexSpace, fam_a, fam_b):
             bound = 0
             for at, _ in a.items():
                 for bt, _ in b.items():
-                    bound = max(bound, int(vac_weight(at) + vac_weight(bt)))
+                    bound = max(bound, vac_weight(at) + vac_weight(bt))
             for t in range(bound):
                 prod = nth_product(space, a, t, b)
                 if not prod:

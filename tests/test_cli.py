@@ -15,7 +15,7 @@ from toralg.cli import main
 from toralg.hvir import SugawaraCharges
 from toralg.lie_table import load_table
 from toralg.rep import ActionParams
-from toralg.scalar import Q
+from toralg.scalar import Q, is_rational
 from toralg.toroidal import AlgebraParams
 
 
@@ -55,7 +55,11 @@ class TestExitCodes(unittest.TestCase):
     def test_invalid_config_is_two(self):
         for argv in (("verify-action", "--N", "2", "--mu", "1", "--c", "0"),
                      ("singular-scan", "--max-degree", "5"),
-                     ("verify-action", "--depth", "-1")):
+                     ("verify-action", "--depth", "-1"),
+                     ("verify-action", "--module-v", "foo"),
+                     ("verify-action", "--module-w", "foo"),
+                     ("char", "--thm56", "--depth", "-1"),
+                     ("char", "--thm56", "--lattice-bound", "-1")):
             with self.subTest(argv=argv):
                 code, rep, _ = run_cli(*argv)
                 self.assertEqual(code, 2)
@@ -115,6 +119,32 @@ class TestExitCodes(unittest.TestCase):
         self.assertEqual(text, "")
         self.assertIn("Traceback", err.getvalue())
         self.assertIn("planted residue", err.getvalue())
+
+
+class TestExactness(unittest.TestCase):
+    def test_no_float_reaches_a_moment(self):
+        # the weight floor compares integers; every coefficient that the
+        # moment caches hold after a suite run must stay an exact rational
+        ap = ActionParams(AlgebraParams(2, load_table("sl2")),
+                          (Q(1, 3), Q(1, 5)), (1, -1), h_bar=Q(1, 7))
+        built = []
+        real = cli.build_module
+
+        def spy(*args):
+            built.append(real(*args))
+            return built[-1]
+
+        with mock.patch.object(cli, "build_module", spy):
+            checks = cli.action_suite(ap, 2, 1, 2, 1, 3, 2) \
+                + cli.scan_suite(ap, 2, 1, 1, 1, 1)
+        self.assertTrue(all(c["pass"] for c in checks))
+        coeffs = [c for module in built
+                  for space in (module.space, module.vacspace)
+                  for lc in space._cache.values() for _sym, c in lc.items()]
+        self.assertGreater(len(coeffs), 0)
+        for c in coeffs:
+            self.assertNotIsInstance(c, float)
+            self.assertTrue(is_rational(c), repr(c))
 
 
 class TestReports(unittest.TestCase):

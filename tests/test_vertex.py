@@ -10,6 +10,8 @@ checked exactly on seeded samples."""
 import random
 import unittest
 
+from hypothesis import given, strategies as st
+
 from toralg import vertex
 from toralg.fock import LatticeParams, enumerate_osc, vacuum_lattice
 from toralg.hvir import (HVContext, HighestWeightData, OneDimHWModule,
@@ -397,6 +399,105 @@ class TestStateHelpers(unittest.TestCase):
         space = VertexSpace(lat, fbar_vacuum(1))
         self.assertEqual(space.mod_weight((((("u", 1, -1)),), (1,), (), 0)),
                          Q(1, 3) * 2 + 2 + 1)
+
+
+rationals = st.builds(Q, st.integers(-5, 5), st.integers(1, 5))
+osc_syms = st.tuples(st.sampled_from("uv"), st.integers(1, 3),
+                     st.integers(-3, -1))
+f_modes = st.sampled_from([("L", -1), ("L", -2), ("L", -3)])
+
+
+@st.composite
+def floor_pairs(draw):
+    """A lattice point with rational alpha, integral beta of mixed sign,
+    integral s and r, and one oscillator and f-part."""
+    n = draw(st.integers(1, 3))
+    ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    alpha = draw(st.lists(rationals, min_size=n, max_size=n))
+    beta, s, r = draw(ints), draw(ints), draw(ints)
+    osc = [sym for sym in draw(st.lists(osc_syms, max_size=3)) if sym[1] <= n]
+    fmono = draw(st.lists(f_modes, max_size=2))
+    return alpha, beta, s, r, osc, fmono, draw(rationals)
+
+
+class TestWeightFloor(unittest.TestCase):
+    """The floor test compares integers: the weight gap between shift s
+    and s + r is r.beta, and every term of mom(a, m) w sits at weight
+    mod_weight(w) + vac_weight(a) + m, never below the target floor."""
+
+    # beta = (2, -1): r.beta positive, negative and zero
+    RBETA = {(1, 0): 2, (0, 1): -1, (1, 2): 0}
+
+    def setUp(self):
+        lat = LatticeParams(2, (Q(1, 3), Q(1, 5)), (2, -1))
+        self.space = VertexSpace(lat, fbar_verma(Q(1, 7), 2))
+        self.s = (0, 1)
+
+    @given(floor_pairs())
+    def test_gap_is_r_dot_beta(self, data):
+        alpha, beta, s, r, osc, fmono, h = data
+        space = VertexSpace(LatticeParams(len(s), alpha, beta),
+                            fbar_verma(h, 1))
+        sr = tuple(si + ri for si, ri in zip(s, r))
+        gap = space.mod_weight(mstate(osc, sr, fmono)) \
+            - space.mod_weight(mstate(osc, s, fmono))
+        rbeta = sum(rp * bp for rp, bp in zip(r, beta))
+        self.assertEqual(gap, rbeta)
+        self.assertEqual(space.rbeta(r), rbeta)
+        self.assertIs(type(space.rbeta(r)), int)
+
+    def test_terms_sit_at_moment_weight(self):
+        space = self.space
+        w_pool = [mstate([], self.s), mstate([("v", 1, -1)], self.s),
+                  mstate([("u", 2, -1)], self.s, [("L", -1)])]
+        for r, rbeta in self.RBETA.items():
+            self.assertEqual(space.rbeta(r), rbeta)
+            a_pool = [vac_state([], r), vac_state([("u", 1, -1)], r),
+                      vac_state([("v", 2, -1)], r, [("L", -2)])]
+            nonzero = 0
+            for a, w in ((a, w) for a in a_pool for w in w_pool):
+                low = rbeta - vertex.mod_depth(w) - vertex.vac_weight(a)
+                for m in range(low - 2, low + 3):
+                    got = space.mom(a, m, LinComb.single(w))
+                    if m < low:
+                        self.assertTrue(got.is_zero())
+                    want = space.mod_weight(w) + vertex.vac_weight(a) + m
+                    for term, _c in got.items():
+                        self.assertEqual(space.mod_weight(term), want)
+                    nonzero += bool(got)
+            self.assertGreater(nonzero, 0, f"r = {r}")
+
+    def test_tight_floor(self):
+        """Planted fixtures that are nonzero exactly at the floor
+        m = r.beta - depth(w) - depth(a), one per kind of peeled symbol,
+        and whose creation halves reach their own floor exactly."""
+        space, s = self.space, self.s
+        w = LinComb.single(mstate([], s))
+        for r, rbeta in self.RBETA.items():
+            at = lambda osc=(), fmono=(): mstate(
+                osc, (s[0] + r[0], s[1] + r[1]), fmono)
+            with self.subTest(r=r):
+                # e^{ru}: E^- E^+ on the top gives the shifted top
+                a = vac_state([], r)
+                self.assertTrue(space.mom(a, rbeta - 1, w).is_zero())
+                self.assertEqual(space.mom(a, rbeta, w),
+                                 LinComb.single(at()))
+                # v_1(-1) e^{ru}: v_1(0) = alpha_1 + s_1 at the floor, the
+                # creation term v_1(-1) first one step above it
+                a = vac_state([("v", 1, -1)], r)
+                self.assertTrue(space.mom(a, rbeta - 2, w).is_zero())
+                self.assertEqual(space.mom(a, rbeta - 1, w),
+                                 LinComb.single(at(), Q(1, 3)))
+                self.assertEqual(
+                    space.mom(a, rbeta, w).coeff(at([("v", 1, -1)])), 1)
+                # L(-2) e^{ru}: L(0) = h at the floor, the creation term
+                # L(-2) two steps above it
+                a = vac_state([], r, [("L", -2)])
+                self.assertTrue(space.mom(a, rbeta - 3, w).is_zero())
+                self.assertEqual(space.mom(a, rbeta - 2, w),
+                                 LinComb.single(at(), Q(1, 7)))
+                self.assertEqual(
+                    space.mom(a, rbeta, w).coeff(at(fmono=[("L", -2)])), 1)
 
 
 if __name__ == "__main__":
