@@ -92,6 +92,10 @@ def toroidal_suite(params: AlgebraParams, jmax: int, rmax: int,
     """Antisymmetry, Jacobi, form symmetry, form invariance, and the
     vanishing of the form against exact derivations, all on seeded
     random combinations of spanning elements."""
+    if jmax < 0 or rmax < 0:
+        raise ConfigError("mode and lattice bounds must be non-negative")
+    if samples < 1:
+        raise ConfigError("samples must be positive")
     rng = random.Random(seed)
     span = gdiv_spanning(params, jmax, rmax)
     if not span:
@@ -163,6 +167,8 @@ def embedding_suite(sigmas, mode_bound: int):
     """The twisted map must be a homomorphism: the bracket of images
     equals the image of the bracket for every Virasoro mode pair, with
     all three central symbols matched exactly."""
+    if mode_bound < 0:
+        raise ConfigError("mode bound must be non-negative")
     bar = HVContext(None, None, "barVir", False)
     full = HVContext(None, None, "Vir", True)
 
@@ -221,8 +227,8 @@ def _action_params(args) -> ActionParams:
 
 
 def _sample_states(module, rng, max_points: int, per_point: int):
-    if max_points < 1:
-        raise ConfigError("max_points must be positive")
+    if max_points < 1 or per_point < 1:
+        raise ConfigError("max_points and states_per_point must be positive")
     pts = sample_lattice_points(module.N, module.smax)
     if len(pts) > max_points:
         pts = [pts[0]] + rng.sample(pts[1:], max_points - 1)
@@ -304,6 +310,11 @@ def action_suite(ap: ActionParams, depth: int, smax: int, jmax: int,
                  max_points: int = 5, states_per_point: int = 4):
     """Zero-mode eigenvalues, sampled commutator preservation, and (for
     windows of depth >= 3) the Virasoro rank scalar."""
+    if jmax < 0 or elem_rmax < 0:
+        raise ConfigError("mode and element lattice bounds must be "
+                          "non-negative")
+    if samples < 1:
+        raise ConfigError("samples must be positive")
     module = build_module(ap, depth, smax)
     rng = random.Random(seed)
     states = _sample_states(module, rng, max_points, states_per_point)
@@ -398,6 +409,8 @@ def sugawara_suite(N: int, mu, c, table, mode_bound: int, h_bar=0):
     present (c dim(gdot)/(c + hv) when gdot is nonzero, (1 - mu c)
     (N^2 - 1)/(1 - mu c + N) when N >= 2), and the Sugawara operator's
     commutation and Virasoro relations on a depth-3 level-c module."""
+    if mode_bound < 0:
+        raise ConfigError("mode bound must be non-negative")
     gamma = central_character_gamma0(N, mu, c)
     sigma = Q(1, N)
 
@@ -611,6 +624,13 @@ def scan_suite(ap: ActionParams, depth: int, smax: int, max_degree: int,
     means empty: no singular candidates at desk scale), plus a planted
     positive control on a degenerate highest weight that must be
     detected."""
+    if max_degree < 1:
+        raise ConfigError("max_degree must be at least 1")
+    if jmax < 1:
+        raise ConfigError("mode bound must be at least 1: the raising set "
+                          "has mode degrees 1..mode bound")
+    if elem_rmax < 0:
+        raise ConfigError("element lattice bound must be non-negative")
     if (2 * elem_rmax + 1) ** ap.algebra.N > 20000:
         raise ConfigError(
             "raising-set lattice box too large at this rank; "

@@ -98,23 +98,6 @@ def oscillator_apply(params: LatticeParams, sym, state: LinComb) -> LinComb:
     return LinComb(out)
 
 
-def oscillator_apply_comb(params: LatticeParams, op: LinComb, state: LinComb) -> LinComb:
-    """Apply a linear combination of oscillator symbols."""
-    out = LinComb.zero()
-    for sym, c in op.items():
-        out = out + oscillator_apply(params, sym, state).scale(c)
-    return out
-
-
-def lattice_shift(r, state: LinComb) -> LinComb:
-    """Multiplication by e^{ru}: shifts s by r (trivial cocycle)."""
-    out = {}
-    for (osc, s), coeff in state.items():
-        s2 = tuple(si + ri for si, ri in zip(s, r))
-        lincomb_add_into(out, (osc, s2), coeff)
-    return LinComb(out)
-
-
 def monomials(gens_at, key, depth: int):
     """Every monomial of total depth `depth` in creation generators, as a
     tuple of factors in nondecreasing key order. gens_at(n) lists the

@@ -29,7 +29,7 @@ from functools import partial
 
 from .fock import monomials
 from .lie_table import SimpleLieTable, WeightModule, casimir_eigenvalue
-from .linear import LinComb, lincomb_add_into
+from .linear import LinComb, add_into, lincomb_add_into
 from .qlinalg import kernel
 from .scalar import Q, ZERO
 
@@ -378,21 +378,21 @@ class VermaModule:
             else:
                 # sym.head = head.sym + [sym, head]
                 inner = self._apply_basis(sym, rest, hw_idx)
-                out = self.apply(head, inner)
+                acc = dict(self.apply(head, inner).terms)
                 modes, cents = bracket_modes(sym, head, self.ctx)
                 for bsym, c in modes.items():
-                    out = out + self._apply_basis(bsym, rest, hw_idx).scale(c)
-                cval = sum((c * self.central(name) for name, c in cents.items()), ZERO)
-                if cval != 0:
-                    out = out + LinComb.single((rest, hw_idx), cval)
+                    add_into(acc, self._apply_basis(bsym, rest, hw_idx), c)
+                lincomb_add_into(acc, (rest, hw_idx), sum(
+                    (c * self.central(name) for name, c in cents.items()), ZERO))
+                out = LinComb(acc)
         self._apply_cache[key] = out
         return out
 
     def apply(self, sym, state: LinComb) -> LinComb:
-        out = LinComb.zero()
+        out = {}
         for (mono, hw_idx), coeff in state.items():
-            out = out + self._apply_basis(sym, mono, hw_idx).scale(coeff)
-        return out
+            add_into(out, self._apply_basis(sym, mono, hw_idx), coeff)
+        return LinComb(out)
 
     def apply_many(self, syms, state: LinComb) -> LinComb:
         """Apply a product of mode symbols, rightmost first."""
@@ -497,11 +497,10 @@ class SugawaraOperator:
         mod = self.module
         fam = self.fam
         dim = self.table.dim
-        out = LinComb.zero()
+        out = {}
         for (mono, hw_idx), coeff in state.items():
             d = mod.depth(mono)
             vec = LinComb.single((mono, hw_idx), coeff)
-            acc = LinComb.zero()
             for m in range(n - d, d + 1):
                 first, second = (m, n - m) if m <= n - m else (n - m, m)
                 for i in range(dim):
@@ -514,9 +513,8 @@ class SugawaraOperator:
                         # dual coefficients is symmetric under that swap
                         a = (fam, i, first)
                         b = (fam, k, second)
-                        acc = acc + mod.apply(a, mod.apply(b, vec)).scale(dual_c)
-            out = out + acc.scale(self.prefactor)
-        return out
+                        add_into(out, mod.apply(a, mod.apply(b, vec)), dual_c)
+        return LinComb(out).scale(self.prefactor)
 
 
 # singular-vector scan on a plain Verma module ------------------------------

@@ -59,13 +59,7 @@ class LinComb:
         if not other.terms:
             return self
         d = dict(self.terms)
-        for sym, coeff in other.terms.items():
-            acc = d.get(sym)
-            acc = coeff if acc is None else acc + coeff
-            if acc == 0:
-                d.pop(sym, None)
-            else:
-                d[sym] = acc
+        add_into(d, other)
         out = LinComb.__new__(LinComb)
         out.terms = d
         return out
@@ -113,3 +107,19 @@ def lincomb_add_into(d: dict, sym, coeff):
         d.pop(sym, None)
     else:
         d[sym] = acc
+
+
+def add_into(d: dict, lc: LinComb, coeff=1):
+    """d += coeff * lc, in place, by the zero-dropping rule of
+    lincomb_add_into; multiplies only when coeff != 1. lc is not
+    changed, so LinComb(d) equals the sum of fresh copies.
+
+    Sound only when d is a fresh scratch dict owned by the caller and
+    never the terms of a LinComb: VertexSpace._mom_basis and
+    VermaModule._apply_basis hand the same cached LinComb to every
+    caller, and LinComb.__add__ returns self when the other side is
+    zero, so writing into a LinComb's terms would change values that
+    other code still holds."""
+    if coeff != 0:
+        for sym, c in lc.terms.items():
+            lincomb_add_into(d, sym, c if coeff == 1 else c * coeff)

@@ -43,7 +43,7 @@ from .hvir import (HVContext, HighestWeightData, OneDimHWModule, VermaModule,
                    cbar_closed_form)
 from .lie_table import MODULE_LABELS, build_slN_table, load_table, \
     module_by_label, sln_psi, trivial_module
-from .linear import LinComb, lincomb_add_into
+from .linear import LinComb, add_into, lincomb_add_into
 from .qlinalg import kernel
 from .scalar import Q, qstr
 from .toroidal import AlgebraParams, TorElement, bracket, gdiv_decompose, \
@@ -366,10 +366,10 @@ class RepOperator:
         return [(j, r) for j, r, _ in self.pieces]
 
     def apply(self, state: LinComb) -> LinComb:
-        out = LinComb.zero()
+        out = {}
         for _j, _r, fn in self.pieces:
-            out = out + fn(state)
-        return out
+            add_into(out, fn(state))
+        return LinComb(out)
 
     __call__ = apply
 

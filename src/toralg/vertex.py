@@ -39,7 +39,7 @@ from math import factorial
 from . import fock
 from .fock import LatticeParams, osc_depth, osc_key
 from .hvir import mode_of, mode_sort_key
-from .linear import LinComb, lincomb_add_into
+from .linear import LinComb, add_into, lincomb_add_into
 from .scalar import Q, ZERO, ONE, binom, falling
 
 
@@ -118,10 +118,10 @@ class VertexSpace:
         return LinComb(out)
 
     def osc_op_comb(self, op: LinComb, state: LinComb) -> LinComb:
-        out = LinComb.zero()
+        out = {}
         for sym, c in op.items():
-            out = out + self.osc_op(sym, state).scale(c)
-        return out
+            add_into(out, self.osc_op(sym, state), c)
+        return LinComb(out)
 
     def f_op(self, fsym, state: LinComb) -> LinComb:
         out = {}
@@ -143,15 +143,14 @@ class VertexSpace:
     def mom(self, a, m: int, state: LinComb) -> LinComb:
         """[z^m] Y(a, z) applied to a combination of module states; a is
         a vacuum-side state or a LinComb of them."""
+        out = {}
         if isinstance(a, LinComb):
-            out = LinComb.zero()
             for at, ac in a.items():
-                out = out + self.mom(at, m, state).scale(ac)
-            return out
-        out = LinComb.zero()
-        for w, c in state.items():
-            out = out + self._mom_basis(a, m, w).scale(c)
-        return out
+                add_into(out, self.mom(at, m, state), ac)
+        else:
+            for w, c in state.items():
+                add_into(out, self._mom_basis(a, m, w), c)
+        return LinComb(out)
 
     def _mom_basis(self, a, m, w) -> LinComb:
         key = (a, m, w)
@@ -178,7 +177,7 @@ class VertexSpace:
         n = -mode
         b = (osc_a[1:], r, fmono_a)
         wlc = LinComb.single(w)
-        out = LinComb.zero()
+        out = {}
         # annihilation half: x(j), j >= 0, applied first
         for j in range(0, osc_depth(w[0]) + 1):
             c = binom(-j - 1, n - 1)
@@ -186,7 +185,7 @@ class VertexSpace:
                 continue
             xw = self.osc_op((kind, p, j), wlc)
             if xw:
-                out = out + self.mom(b, m + j + n, xw).scale(c)
+                add_into(out, self.mom(b, m + j + n, xw), c)
         # creation half: x(j), j <= -1, applied last; bounded by the
         # weight floor for the inner moment
         pmin = self.rbeta(r) - mod_depth(w) - vac_weight(b)
@@ -196,9 +195,9 @@ class VertexSpace:
             if c != 0:
                 inner = self.mom(b, m + j + n, wlc)
                 if inner:
-                    out = out + self.osc_op((kind, p, j), inner).scale(c)
+                    add_into(out, self.osc_op((kind, p, j), inner), c)
             j -= 1
-        return out
+        return LinComb(out)
 
     def _f_mom(self, a, m, w):
         _osc_a, r, fmono_a = a
@@ -218,7 +217,7 @@ class VertexSpace:
             right_start = 0
             make = lambda j: (fam, idx, j)
         wlc = LinComb.single(w)
-        out = LinComb.zero()
+        out = {}
         # annihilation half (includes L(-1) and the zero modes)
         for j in range(right_start, self.fmod.depth(w[2]) + 1):
             c = coeff(j)
@@ -226,7 +225,7 @@ class VertexSpace:
                 continue
             xw = self.f_op(make(j), wlc)
             if xw:
-                out = out + self.mom(b, m + j + n, xw).scale(c)
+                add_into(out, self.mom(b, m + j + n, xw), c)
         # creation half
         pmin = self.rbeta(r) - mod_depth(w) - vac_weight(b)
         j = right_start - 1
@@ -235,21 +234,21 @@ class VertexSpace:
             if c != 0:
                 inner = self.mom(b, m + j + n, wlc)
                 if inner:
-                    out = out + self.f_op(make(j), inner).scale(c)
+                    add_into(out, self.f_op(make(j), inner), c)
             j -= 1
-        return out
+        return LinComb(out)
 
     def _lattice_mom(self, r, m, w):
         if not any(r):
             return LinComb.single(w) if m == 0 else LinComb.zero()
         rbeta = self.rbeta(r)
         shifted = self.shift_op(r, LinComb.single(w))
-        out = LinComb.zero()
+        out = {}
         for t, lc in self._eplus(r, shifted).items():
             need = m - rbeta + t
             if need >= 0:
-                out = out + self._eminus(r, need, lc)
-        return out
+                add_into(out, self._eminus(r, need, lc))
+        return LinComb(out)
 
     def _ru_op(self, r, mode):
         return LinComb([(("u", p, mode), Q(r[p - 1]))
@@ -272,28 +271,22 @@ class VertexSpace:
                 k = 0
                 coeff = ONE
                 while cur:
-                    if coeff != 1:
-                        add = cur.scale(coeff)
-                    else:
-                        add = cur
-                    if add:
-                        prev = new.get(t + jm * k)
-                        new[t + jm * k] = add if prev is None else prev + add
+                    add_into(new.setdefault(t + jm * k, {}), cur, coeff)
                     k += 1
                     coeff = coeff * Q(-1, jm * k)
                     cur = self.osc_op_comb(op, cur)
-            out = new
+            out = {t: LinComb(d) for t, d in new.items()}
         return out
 
     def _eminus(self, r, D, state: LinComb):
         """Coefficient of z^D in exp(sum_j ru(-j)/j z^j) applied to state."""
         if D == 0:
             return state
-        out = [LinComb.zero()]
+        out = {}
 
         def rec(remaining, maxpart, lc, coeff):
             if remaining == 0:
-                out[0] = out[0] + lc.scale(coeff)
+                add_into(out, lc, coeff)
                 return
             for j in range(min(maxpart, remaining), 0, -1):
                 op = self._ru_op(r, -j)
@@ -309,7 +302,7 @@ class VertexSpace:
                     rec(remaining - j * k, j - 1, cur, c)
 
         rec(D, D, state, ONE)
-        return out[0]
+        return LinComb(out)
 
 
 def vacuum_space(N: int, fvac) -> VertexSpace:
@@ -332,10 +325,10 @@ def nth_product(space: VertexSpace, a, n: int, b) -> LinComb:
     """a_(n) b inside the vertex algebra; space must be a vacuum space
     and a, b vacuum-side states (or LinCombs)."""
     if isinstance(b, LinComb):
-        out = LinComb.zero()
+        out = {}
         for bt, bc in b.items():
-            out = out + nth_product(space, a, n, bt).scale(bc)
-        return out
+            add_into(out, nth_product(space, a, n, bt), bc)
+        return LinComb(out)
     got = space.mom(a, -n - 1, LinComb.single(_embed(b)))
     return LinComb([(_project(w), c) for w, c in got.items()])
 
@@ -355,10 +348,10 @@ def as_family(x):
 def family_moment(space: VertexSpace, fam, power: int,
                   state: LinComb) -> LinComb:
     """Coefficient of z^power of a shifted field applied to state."""
-    out = LinComb.zero()
+    out = {}
     for a, k in as_family(fam):
-        out = out + space.mom(a, power - k, state)
-    return out
+        add_into(out, space.mom(a, power - k, state))
+    return LinComb(out)
 
 
 def bracket_expand(space: VertexSpace, fam_a, fam_b):
@@ -391,10 +384,10 @@ def bracket_expand(space: VertexSpace, fam_a, fam_b):
                         continue
                     slot = out.setdefault(n, {})
                     j = s + k + i
-                    slot[j] = slot.get(j, LinComb.zero()) + prod.scale(c)
+                    add_into(slot.setdefault(j, {}), prod, c)
     result = []
     for n in sorted(out):
-        entries = [(j, lc) for j, lc in sorted(out[n].items()) if lc]
+        entries = [(j, LinComb(d)) for j, d in sorted(out[n].items()) if d]
         if entries:
             result.append((n, entries))
     return result
@@ -421,13 +414,13 @@ def field_identity_check(space: VertexSpace, vacspace: VertexSpace,
                         family_moment(space, fam_a, m1, state))
     if products is None:
         products = bracket_expand(vacspace, fam_a, fam_b)
-    rhs = LinComb.zero()
+    rhs = {}
     for n, entries in products:
         factor = falling(-m1 - 1, n)
         if factor != 0:
-            rhs = rhs + family_moment(space, cn_family(entries),
-                                      m1 + m2 + 1 + n, state).scale(factor)
-    return lhs - rhs
+            add_into(rhs, family_moment(space, cn_family(entries),
+                                        m1 + m2 + 1 + n, state), factor)
+    return lhs - LinComb(rhs)
 
 
 def state_derivative(vacspace: VertexSpace, a) -> LinComb:
@@ -435,22 +428,21 @@ def state_derivative(vacspace: VertexSpace, a) -> LinComb:
     oscillators (x(-n) -> n x(-n-1)), the translation mode L(-1) on the
     f-factor, and D e^{ru} = ru(-1) e^{ru}. Satisfies
     mom(D a, m) = (m + 1) mom(a, m + 1)."""
+    out = {}
     if isinstance(a, LinComb):
-        out = LinComb.zero()
         for at, ac in a.items():
-            out = out + state_derivative(vacspace, at).scale(ac)
-        return out
+            add_into(out, state_derivative(vacspace, at), ac)
+        return LinComb(out)
     osc, r, fmono = a
-    out = LinComb.zero()
     for i, (kind, p, mode) in enumerate(osc):
         lifted = osc[:i] + ((kind, p, mode - 1),) + osc[i + 1:]
-        out = out + LinComb.single(vac_state(lifted, r, fmono), Q(-mode))
+        lincomb_add_into(out, vac_state(lifted, r, fmono), Q(-mode))
     if fmono:
         dstate = vacspace.fmod.apply(("L", -1), LinComb.single((fmono, 0)))
         for (fm2, _fh), c2 in dstate.items():
-            out = out + LinComb.single(vac_state(osc, r, fm2), c2)
+            lincomb_add_into(out, vac_state(osc, r, fm2), c2)
     for p in range(1, vacspace.lat.N + 1):
         if r[p - 1]:
-            out = out + LinComb.single(
-                vac_state(osc + (("u", p, -1),), r, fmono), Q(r[p - 1]))
-    return out
+            lincomb_add_into(out, vac_state(osc + (("u", p, -1),), r, fmono),
+                             Q(r[p - 1]))
+    return LinComb(out)

@@ -59,7 +59,25 @@ class TestExitCodes(unittest.TestCase):
                      ("verify-action", "--module-v", "foo"),
                      ("verify-action", "--module-w", "foo"),
                      ("char", "--thm56", "--depth", "-1"),
-                     ("char", "--thm56", "--lattice-bound", "-1")):
+                     ("char", "--thm56", "--lattice-bound", "-1"),
+                     # negative bounds and empty counts: never exit 3,
+                     # never a pass over nothing
+                     ("verify-action", "--depth", "2", "--mode-bound", "-1"),
+                     ("verify-action", "--elem-lattice-bound", "-1"),
+                     ("verify-action", "--samples", "0"),
+                     ("verify-action", "--states-per-point", "0"),
+                     ("verify-toroidal", "--mode-bound=-1"),
+                     ("verify-toroidal", "--lattice-bound=-1"),
+                     ("verify-toroidal", "--samples=0"),
+                     ("verify-toroidal", "--samples=-1"),
+                     ("verify-embedding", "--mode-bound", "-1"),
+                     ("sugawara", "--mode-bound", "-1"),
+                     ("singular-scan", "--depth", "2", "--max-degree=-1"),
+                     ("singular-scan", "--depth", "2", "--max-degree", "0"),
+                     ("singular-scan", "--depth", "2", "--mode-bound", "-1"),
+                     ("singular-scan", "--depth", "2", "--mode-bound", "0"),
+                     ("singular-scan", "--depth", "2",
+                      "--elem-lattice-bound", "-1")):
             with self.subTest(argv=argv):
                 code, rep, _ = run_cli(*argv)
                 self.assertEqual(code, 2)

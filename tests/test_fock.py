@@ -1,5 +1,8 @@
 """Hyperbolic-lattice Fock layer: oscillator algebra, zero modes,
-lattice shifts, weights, and basis enumeration counts.
+lattice shifts, weights, and basis enumeration counts. Lattice shifts
+and combinations of oscillators are applied through a VertexSpace with
+a one-dimensional f-factor, whose states (osc, s, (), 0) are the bare
+Fock states (osc, s).
 
 Count oracle: oscillator monomials of depth d over 2N colors are colored
 partitions, so N=2 gives 1, 4, 14 states at depths 0, 1, 2 and N=12
@@ -17,20 +20,32 @@ from toralg.fock import (
     gamma_pair,
     hyp_weight,
     lattice_box,
-    lattice_shift,
     osc_depth,
     osc_pair,
     oscillator_apply,
-    oscillator_apply_comb,
     vacuum_lattice,
 )
+from toralg.hvir import HVContext, OneDimHWModule
 from toralg.linear import LinComb
 from toralg.scalar import Q
+from toralg.vertex import VertexSpace
 
 
 def st(osc, s):
     canon = tuple(sorted(osc, key=lambda x: (x[2], x[0], x[1])))
     return LinComb.single((canon, tuple(s)))
+
+
+def fock_space(params):
+    """params tensored with the one-dimensional f-factor."""
+    return VertexSpace(params, OneDimHWModule(HVContext(None, None),
+                                              {"Vir": 0}))
+
+
+def vst(osc, s):
+    """st(osc, s) as a state of fock_space."""
+    (canon, s), = st(osc, s).terms
+    return LinComb.single((canon, s, (), 0))
 
 
 class TestBasics(unittest.TestCase):
@@ -115,23 +130,25 @@ class TestOscillators(unittest.TestCase):
         self.assertEqual(lhs, rhs)
 
     def test_lattice_shift(self):
-        state = st([("u", 1, -1)], [0, 1])
-        shifted = lattice_shift((2, -1), state)
-        self.assertEqual(shifted, st([("u", 1, -1)], [2, 0]))
+        space = fock_space(self.p)
+        state = vst([("u", 1, -1)], [0, 1])
+        shifted = space.shift_op((2, -1), state)
+        self.assertEqual(shifted, vst([("u", 1, -1)], [2, 0]))
         # [v_p(0), e^{ru}] = r_p e^{ru}
-        lhs = oscillator_apply(self.p, ("v", 1, 0), lattice_shift((2, -1), state)) \
-            - lattice_shift((2, -1), oscillator_apply(self.p, ("v", 1, 0), state))
+        lhs = space.osc_op(("v", 1, 0), space.shift_op((2, -1), state)) \
+            - space.shift_op((2, -1), space.osc_op(("v", 1, 0), state))
         self.assertEqual(lhs, shifted.scale(2))
         # and u_p(0) commutes since (u|u) = 0
-        lhs = oscillator_apply(self.p, ("u", 1, 0), lattice_shift((2, -1), state)) \
-            - lattice_shift((2, -1), oscillator_apply(self.p, ("u", 1, 0), state))
+        lhs = space.osc_op(("u", 1, 0), space.shift_op((2, -1), state)) \
+            - space.shift_op((2, -1), space.osc_op(("u", 1, 0), state))
         self.assertTrue(lhs.is_zero())
 
     def test_comb_application(self):
+        space = fock_space(self.p)
         op = LinComb([(("u", 1, 1), Q(2)), (("u", 2, 1), Q(5))])
-        state = st([("v", 1, -1)], [0, 0]) + st([("v", 2, -1)], [0, 0])
-        got = oscillator_apply_comb(self.p, op, state)
-        self.assertEqual(got, st([], [0, 0]).scale(7))
+        state = vst([("v", 1, -1)], [0, 0]) + vst([("v", 2, -1)], [0, 0])
+        got = space.osc_op_comb(op, state)
+        self.assertEqual(got, vst([], [0, 0]).scale(7))
 
 
 class TestEnumeration(unittest.TestCase):

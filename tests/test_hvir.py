@@ -245,6 +245,24 @@ class TestVermaModule(unittest.TestCase):
         got = mod.apply_many([("L", -2), ("L", -1)], mod.vacuum_state())
         self.assertEqual(got, LinComb.single((((("L", -2), ("L", -1))), 0)))
 
+    def test_apply_leaves_cached_values_alone(self):
+        """apply accumulates in a fresh dict, so the cached action on a
+        basis state never changes when a later sum reuses it."""
+        mod = hvir_module(Q(3, 7), Q(2), Q(-4), Q(5), Q(1, 3))
+        states = [LinComb.single(s) for d in (1, 2)
+                  for s in mod.slice_basis(d)]
+        syms = [("L", 1), ("L", -1), ("I", 1), ("L", 2)]
+        for sym in syms:
+            for v in states:
+                mod.apply(sym, v)
+        snapshot = {k: dict(v.terms) for k, v in mod._apply_cache.items()}
+        # sums whose first coefficient is 1, over cached basis states
+        for sym in syms:
+            for v, w in zip(states, states[1:]):
+                mod.apply(sym, v + w.scale(2))
+        for k, terms in snapshot.items():
+            self.assertEqual(mod._apply_cache[k].terms, terms, k)
+
     def test_grading_operators(self):
         mod = hvir_module(Q(1, 5), Q(7), Q(2), Q(3), Q(0))
         for depth in (1, 2, 3):

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from toralg.linear import LinComb
+from toralg.linear import LinComb, add_into
 from toralg.scalar import Q, binom, falling, parse_q, qstr
 
 
@@ -55,3 +55,20 @@ def test_lincomb_module_axioms(x, y, z):
 @given(combos)
 def test_lincomb_canonical_no_zeros(x):
     assert all(c != 0 for c in x.terms.values())
+
+
+scalars = st.one_of(st.sampled_from([Q(0), Q(1), 1]), coeffs)
+
+
+@given(combos, combos, scalars, st.booleans())
+def test_add_into_is_the_copying_sum(x, y, c, cancel):
+    if cancel:
+        y = x.scale(-c)  # the sum cancels to zero
+    d = dict(y.terms)
+    before = dict(x.terms)
+    add_into(d, x, c)
+    assert LinComb(d) == y + x.scale(c)
+    assert all(v != 0 for v in d.values())
+    assert x.terms == before
+    if cancel:
+        assert d == {}

@@ -218,6 +218,40 @@ class TestVacuumProducts(unittest.TestCase):
         self.assertEqual(nth_product(vac2, om, 2, om), LinComb.zero())
 
 
+class TestCacheNotAliased(unittest.TestCase):
+    def test_overlapping_moments_leave_cached_values_alone(self):
+        """Moments are accumulated in fresh dicts, so a cached moment
+        never changes when later moments reuse it."""
+        fmod = fbar_verma(Q(3, 7), -4)
+        space = VertexSpace(LatticeParams(2, (Q(1, 3), Q(1, 5)), (1, 0)),
+                            fmod)
+        w0 = top(space)
+        u1 = space.osc_op(("u", 1, -1), w0)
+        l2 = space.f_op(("L", -2), w0)
+        # multi-term states with coefficient 1 first, so an accumulator
+        # that started from a cached value's terms would write into it
+        pool = [w0, u1, l2, w0 + u1, u1 + l2.scale(Q(2, 3)) + w0]
+        vacs = [vac_state([("u", 1, -1)], (0, 0)),
+                vac_state([("v", 2, -2)], (0, 0)),
+                vac_state([], (1, 0)),
+                vac_state([("v", 1, -1)], (0, 1)),
+                vac_state([], (0, 0), [("L", -2)]),
+                omega_total(2)]
+        for a in vacs:
+            for m in range(-3, 2):
+                for w in pool[:3]:
+                    space.mom(a, m, w)
+        snapshot = {k: dict(v.terms) for k, v in space._cache.items()}
+        for a in vacs:
+            for m in range(-3, 2):
+                for w in pool:
+                    # u_1(-1) w + w: new basis states next to cached ones
+                    space.mom(a, m, space.mom(vacs[0], 0, w) + w)
+        self.assertGreater(len(space._cache), len(snapshot))
+        for k, terms in snapshot.items():
+            self.assertEqual(space._cache[k].terms, terms, k)
+
+
 class TestReassembly(unittest.TestCase):
     """The commutator of two field moments equals the finite sum over
     their vacuum products, exactly, state by state."""
