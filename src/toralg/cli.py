@@ -620,7 +620,7 @@ def cmd_char(args):
 
 def scan_suite(ap: ActionParams, depth: int, smax: int, max_degree: int,
                jmax: int, elem_rmax: int, planted: bool = True):
-    """Kernel of the stacked raising operators per graded slice (pass
+    """Common kernel of the raising operators per graded slice (pass
     means empty: no singular candidates at desk scale), plus a planted
     positive control on a degenerate highest weight that must be
     detected."""

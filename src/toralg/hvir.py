@@ -520,7 +520,7 @@ class SugawaraOperator:
 # singular-vector scan on a plain Verma module ------------------------------
 
 def verma_singular_scan(module: VermaModule, max_depth: int, raising_syms):
-    """Exact kernel of the stacked raising operators on each graded slice
+    """Exact common kernel of the raising operators on each graded slice
     up to max_depth. Returns a list of (depth, vector-as-LinComb)."""
     ops = [partial(module.apply, sym) for sym in raising_syms]
     return [(depth, vec) for depth in range(1, max_depth + 1)

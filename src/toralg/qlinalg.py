@@ -1,7 +1,9 @@
 """Small exact linear algebra over Q: inverse, nullspace, and the
-kernel of stacked operators. Matrices are lists of lists of rationals;
-elimination runs on sparse rows (dicts column -> nonzero), since the
-stacked raising matrices of the singular scans are a few percent dense.
+common kernel of several operators, intersected one operator at a time
+with an early exit once it is empty. Matrices are lists of lists of
+rationals; elimination runs on sparse rows (dicts column -> nonzero),
+since the raising matrices of the singular scans are a few percent
+dense.
 """
 
 from __future__ import annotations
@@ -88,18 +90,50 @@ def nullspace(mat, cols=None):
 
 def kernel(basis, ops):
     """Common kernel of the operators ops (each LinComb -> LinComb) on
-    the span of basis, as LinCombs over basis. The stacked matrix has
-    one row per (operator index, image term)."""
-    rows = {}
-    for oi, op in enumerate(ops):
-        for j, b in enumerate(basis):
-            for term, c in op(LinComb.single(b)).items():
-                row = rows.get((oi, term))
+    the span of basis, as LinCombs over basis, built one operator at a
+    time: each operator is applied only to the kernel of the ones
+    before it, and the nullspace of its images (a row per image term, a
+    column per kernel vector) gives the new kernel. An operator whose
+    images all vanish leaves the kernel as it is; the loop stops once
+    the kernel is empty.
+
+    Sound because each partial kernel contains the full one, so an
+    empty partial kernel proves the full kernel empty, and after the
+    last operator the partial kernel is the full one.
+
+    The result is the basis the stacked solve of all operators gives:
+    the reduced echelon form of the kernel with the columns read right
+    to left, one vector per free column, 1 there and 0 at the other
+    free columns. The unit vectors start in that form, and each step
+    keeps it because each nullspace vector is in that form over the
+    kernel vectors it combines. The form is unique to the subspace, so
+    neither the path taken nor the order of ops changes the result."""
+    vecs = [{i: ONE} for i in range(len(basis))]
+    for op in ops:
+        if not vecs:
+            break
+        rows = {}
+        for k, vec in enumerate(vecs):
+            image = op(LinComb({basis[i]: c for i, c in vec.items()}))
+            for term, c in image.items():
+                row = rows.get(term)
                 if row is None:
-                    row = rows[(oi, term)] = [ZERO] * len(basis)
-                row[j] = c
-    return [LinComb({basis[i]: c for i, c in enumerate(vec) if c != 0})
-            for vec in nullspace(list(rows.values()), cols=len(basis))]
+                    row = rows[term] = [ZERO] * len(vecs)
+                row[k] = c
+        if rows:
+            vecs = [_combine(vecs, y)
+                    for y in nullspace(list(rows.values()), cols=len(vecs))]
+    return [LinComb({basis[i]: c for i, c in sorted(vec.items())})
+            for vec in vecs]
+
+
+def _combine(vecs, coeffs):
+    """sum_k coeffs[k] vecs[k] over sparse vectors, dropping the zeros."""
+    out = {}
+    for vec, f in zip(vecs, coeffs):
+        if f:
+            _subtract(out, -f, vec)
+    return out
 
 
 def invert(mat):

@@ -197,6 +197,15 @@ class TruncatedModule:
                         out.append((osc, s, fm, fh))
         return out
 
+    def slice_at(self, s, d: int):
+        """The basis states at lattice point s of oscillator plus f-depth
+        d, in basis_at order."""
+        s = tuple(int(x) for x in s)
+        return [(osc, s, fm, fh)
+                for d1 in range(max(d - self.depth, 0), min(d, self.depth) + 1)
+                for osc in self.osc_slice(d1)
+                for fm, fh in self.f_slice(d - d1)]
+
     def basis(self):
         for s in fock.lattice_box(self.N, self.smax):
             for w in self.basis_at(s):
@@ -313,19 +322,19 @@ def _dhat_tail(module: TruncatedModule, r, a: int) -> LinComb:
     return _cached_state(module, ("dhatB", tuple(r), a), build)
 
 
-def act_key(module: TruncatedModule, key):
-    """The operator of one spanning key as (j, r, state -> state)."""
+def _key_piece(module: TruncatedModule, key):
+    """The operator of one spanning key as a piece (j, r, fn, coeff):
+    coeff times fn, a map state -> state."""
     space = module.space
-    alg = module.params.algebra
-    c = alg.c
     kind = key[0]
+    coeff = module.params.algebra.c if kind in ("k0", "k") else 1
     j, r = _key_degree(key, module.N)
     if kind == "k0":
         a = _eru(r)
-        fn = lambda st, a=a, m=-j: space.mom(a, m, st).scale(c)
+        fn = lambda st, a=a, m=-j: space.mom(a, m, st)
     elif kind == "k":
         a = vac_state((("u", key[3], -1),), r)
-        fn = lambda st, a=a, m=-j - 1: space.mom(a, m, st).scale(c)
+        fn = lambda st, a=a, m=-j - 1: space.mom(a, m, st)
     elif kind == "g":
         a = vac_state((), r, (("g", key[3], -1),))
         fn = lambda st, a=a, m=-j - 1: space.mom(a, m, st)
@@ -348,13 +357,20 @@ def act_key(module: TruncatedModule, key):
             + space.mom(B, -mj - 1, st).scale(Q(mj))
     else:
         raise ValueError(f"unknown spanning key {key!r}")
-    return j, r, fn
+    return j, r, fn, coeff
+
+
+def act_key(module: TruncatedModule, key):
+    """The operator of one spanning key as (j, r, state -> state)."""
+    piece = _key_piece(module, key)
+    return piece[0], piece[1], RepOperator(module, [piece]).apply
 
 
 class RepOperator:
-    """A represented element: a sum of homogeneous moment pieces, each
-    tagged with its degree (j, r). The piece of degree (j, r) shifts
-    conformal weight by -j and the lattice point by +r."""
+    """A represented element: a sum of homogeneous moment pieces
+    (j, r, fn, coeff), each coeff times fn of degree (j, r). The piece
+    of degree (j, r) shifts conformal weight by -j and the lattice point
+    by +r."""
 
     __slots__ = ("module", "pieces")
 
@@ -363,12 +379,12 @@ class RepOperator:
         self.pieces = pieces
 
     def degrees(self):
-        return [(j, r) for j, r, _ in self.pieces]
+        return [(j, r) for j, r, _fn, _c in self.pieces]
 
     def apply(self, state: LinComb) -> LinComb:
         out = {}
-        for _j, _r, fn in self.pieces:
-            add_into(out, fn(state))
+        for _j, _r, fn, coeff in self.pieces:
+            add_into(out, fn(state), coeff)
         return LinComb(out)
 
     __call__ = apply
@@ -381,10 +397,8 @@ def represent(x: TorElement, module: TruncatedModule) -> RepOperator:
         return cached
     pieces = []
     for coeff, key in gdiv_decompose(x, module.params.algebra):
-        j, r, fn = act_key(module, key)
-        if coeff != 1:
-            fn = lambda st, fn=fn, cc=coeff: fn(st).scale(cc)
-        pieces.append((j, r, fn))
+        j, r, fn, scale = _key_piece(module, key)
+        pieces.append((j, r, fn, coeff * scale))
     op = RepOperator(module, pieces)
     module._ops[x.lc] = op
     return op
@@ -515,7 +529,7 @@ def raising_set(params: AlgebraParams, jmax=2, rmax=1):
 
 def singular_scan(module: TruncatedModule, max_degree: int,
                   jmax=2, rmax=1, points=None):
-    """Exact kernel of the stacked raising operators on each graded
+    """Exact common kernel of the raising operators on each graded
     slice above the top. Returns [(degree, lattice point, vector)];
     an empty list supports irreducibility at desk scale, a non-empty
     list reports candidates only."""
@@ -528,10 +542,7 @@ def singular_scan(module: TruncatedModule, max_degree: int,
     found = []
     for s0 in points:
         s0 = tuple(int(x) for x in s0)
-        by_depth = {}
-        for w in module.basis_at(s0):
-            by_depth.setdefault(module.state_depth(w), []).append(w)
         for d in range(1, max_degree + 1):
             found.extend((d, s0, vec)
-                         for vec in kernel(by_depth.get(d, []), ops))
+                         for vec in kernel(module.slice_at(s0, d), ops))
     return found

@@ -52,6 +52,19 @@ class TestExitCodes(unittest.TestCase):
         self.assertEqual(bad[0]["name"], "raising-kernel-empty")
         self.assertIn("witness", bad[0])
 
+    def test_degenerate_scan_report(self):
+        # pins the count and the canonical basis of the candidates
+        code, rep, _ = run_cli("singular-scan", "--alpha", "0,0",
+                               "--beta", "0,0", "--h-bar", "0",
+                               "--depth", "3", "--max-degree", "2")
+        self.assertEqual(code, 1)
+        scan = rep["checks"][0]
+        self.assertEqual(scan["name"], "raising-kernel-empty")
+        self.assertEqual(scan["candidates"], 12)
+        self.assertEqual(scan["witness"], {
+            "degree": 1, "s": [0, 0],
+            "vector": "1*((), (0, 0), (('L', -1),), 0)"})
+
     def test_invalid_config_is_two(self):
         for argv in (("verify-action", "--N", "2", "--mu", "1", "--c", "0"),
                      ("singular-scan", "--max-degree", "5"),

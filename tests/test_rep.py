@@ -3,11 +3,14 @@ eigenvalues, window sizes counted two ways, the grading-shift property
 of every spanning operator, the K-relation operator identity, exact
 commutator preservation on seeded samples (general and rank-0 points),
 the Virasoro rank scalar with a falsification fixture, and the
-singular-vector scan with a planted positive control."""
+singular-vector scan with a planted positive control, its graded
+slices and its one-operator verdict at the generic point."""
 
 import random
 import unittest
+from unittest import mock
 
+from toralg import rep as rep_mod
 from toralg.fock import lattice_box
 from toralg.hvir import VermaModule, verma_singular_scan
 from toralg.lie_table import load_table
@@ -353,6 +356,38 @@ class TestSingularScan(unittest.TestCase):
         mod = build_module(sl2_params(), 3, 1)
         self.assertEqual(singular_scan(mod, 2), [])
 
+    def test_first_operator_decides_the_generic_point(self):
+        # the first raising operator alone empties every slice, so the
+        # incremental kernel never applies the others
+        mod = build_module(sl2_params(), 3, 1)
+        calls = []
+
+        class Counted:
+            def __init__(self, op):
+                self.index = len(calls)
+                self.op = op
+                calls.append(0)
+
+            def apply(self, state):
+                calls[self.index] += 1
+                return self.op.apply(state)
+
+        real = rep_mod.represent
+        with mock.patch.object(rep_mod, "represent",
+                               lambda x, m: Counted(real(x, m))):
+            self.assertEqual(singular_scan(mod, 2), [])
+        self.assertGreater(len(calls), 1)
+        states = sum(len(mod.slice_at((0, 0), d)) for d in (1, 2))
+        self.assertEqual(calls, [states] + [0] * (len(calls) - 1))
+
+    def test_slices_are_the_graded_basis(self):
+        mod = build_module(sl2_params(), 3, 1)
+        for s in [(0, 0), (1, -1)]:
+            for d in range(2 * mod.depth + 2):
+                self.assertEqual(mod.slice_at(s, d),
+                                 [w for w in mod.basis_at(s)
+                                  if mod.state_depth(w) == d])
+
     def test_raising_set_positive_degree(self):
         ap = sl2_params()
         for se in raising_set(ap.algebra):
@@ -360,7 +395,7 @@ class TestSingularScan(unittest.TestCase):
 
     def test_planted_vector_found(self):
         # Virasoro top with h = 0, central 0 has the translate of the top
-        # at depth one; the scan of the same stacked-kernel kind sees it.
+        # at depth one; the same common-kernel scan sees it.
         from toralg.hvir import HVContext, HighestWeightData
         ctx = HVContext(None, None, vir_central="Vir",
                         allow_heisenberg=False)
