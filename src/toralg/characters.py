@@ -141,15 +141,15 @@ def oscillator_dimensions(N: int, max_n: int) -> SeriesExpansion:
 
 # -- character tables ----------------------------------------------------------
 
-def sample_lattice_points(N: int, smax: int, draws: int = 8,
-                          seed: int = 20260815, full_cap: int = 1000):
-    """Deterministic sample of the window box: the whole box when it is
-    small, otherwise origin, axis extremes, the two uniform corners and
-    seeded draws (duplicates removed, order preserved)."""
+def sample_lattice_points(N: int, smax: int):
+    """Deterministic sample of the window box: the whole box when it has
+    at most 1000 points, otherwise origin, axis extremes, the two uniform
+    corners and 8 draws of seed 20260815 (duplicates removed, order
+    preserved)."""
     if smax < 0:
         raise ValueError("smax must be non-negative")
     box = (2 * smax + 1) ** N
-    if box <= full_cap:
+    if box <= 1000:
         return list(lattice_box(N, smax))
     pts = [(0,) * N]
     for p in range(N):
@@ -159,8 +159,8 @@ def sample_lattice_points(N: int, smax: int, draws: int = 8,
             pts.append(tuple(v))
     pts.append((smax,) * N)
     pts.append((-smax,) * N)
-    rng = random.Random(seed)
-    for _ in range(draws):
+    rng = random.Random(20260815)
+    for _ in range(8):
         pts.append(tuple(rng.randint(-smax, smax) for _ in range(N)))
     seen = set()
     out = []

@@ -30,7 +30,7 @@ from . import ConfigError
 from .characters import (CharacterTable, colored_partition_series,
                          compare_character, graded_character,
                          oscillator_dimensions, sample_lattice_points)
-from .fock import enumerate_osc, osc_depth
+from .fock import enumerate_osc, mono_depth
 from .hvir import (HVContext, HighestWeightData, SugawaraOperator,
                    VermaModule, barred_charges, cbar_closed_form,
                    central_character_gamma0, default_h_vir, rho_sigma,
@@ -549,7 +549,7 @@ def char_suite_thm56(max_n: int, smax: int):
         cap = min(max_n, 4)
         counts = [0] * (cap + 1)
         for osc in enumerate_osc(12, cap):
-            counts[osc_depth(osc)] += 1
+            counts[mono_depth(osc)] += 1
         ok = counts == dims.as_list()[:cap + 1]
         return {"pass": ok, "depth_cap": cap, "counts": counts}
 
@@ -684,7 +684,7 @@ def _report(command: str, config: dict, seed, checks) -> dict:
             "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
-def _add_module_flags(p, defaults=True):
+def _add_module_flags(p):
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--mu", default="0")
     p.add_argument("--c", default="1")

@@ -51,11 +51,6 @@ def osc_key(sym):
     return (sym[2], sym[0], sym[1])
 
 
-def osc_pair(a_kind, a_p, b_kind, b_p):
-    """(x|y) for two lattice directions."""
-    return Q(1) if (a_kind != b_kind and a_p == b_p) else ZERO
-
-
 def gamma_pair(params: LatticeParams, kind, p, s):
     """(x | gamma) for gamma = (alpha+s)u + beta v at shift s."""
     if kind == "u":
@@ -63,8 +58,10 @@ def gamma_pair(params: LatticeParams, kind, p, s):
     return params.alpha[p - 1] + s[p - 1]
 
 
-def osc_depth(osc) -> int:
-    return -sum(sym[2] for sym in osc)
+def mono_depth(mono) -> int:
+    """Depth of a monomial of creation modes, oscillators (kind, p, n) or
+    f-factor modes (..., n) alike: minus the sum of its mode numbers."""
+    return -sum(sym[-1] for sym in mono)
 
 
 def base_weight(params: LatticeParams, s):
@@ -72,29 +69,28 @@ def base_weight(params: LatticeParams, s):
     return sum(((params.alpha[p] + s[p]) * params.beta[p] for p in range(params.N)), ZERO)
 
 
-def hyp_weight(params: LatticeParams, state):
-    """(gamma|gamma)/2 + oscillator depth = (alpha+s).beta + depth."""
-    osc, s = state
-    return base_weight(params, s) + osc_depth(osc)
-
-
 def oscillator_apply(params: LatticeParams, sym, state: LinComb) -> LinComb:
-    """Apply the mode x(n) to a combination of (osc, s) states."""
+    """Apply the mode x(n) to a combination of states (osc, s, ...): the
+    oscillator monomial and the shift come first, and whatever follows
+    them in a state tuple (the f-factor part of a tensor-module state)
+    is carried through unchanged."""
     kind, p, n = sym
     out = {}
-    for (osc, s), coeff in state.items():
+    for st, coeff in state.items():
+        osc, tail = st[0], st[1:]
         if n < 0:
             new = tuple(sorted(osc + (sym,), key=osc_key))
-            lincomb_add_into(out, (new, s), coeff)
+            lincomb_add_into(out, (new,) + tail, coeff)
         elif n == 0:
-            lincomb_add_into(out, (osc, s), coeff * gamma_pair(params, kind, p, s))
+            lincomb_add_into(out, st,
+                             coeff * gamma_pair(params, kind, p, tail[0]))
         else:
             partner = ("v" if kind == "u" else "u", p, -n)
             mult = osc.count(partner)
             if mult:
                 rest = list(osc)
                 rest.remove(partner)
-                lincomb_add_into(out, (tuple(rest), s), coeff * mult * n)
+                lincomb_add_into(out, (tuple(rest),) + tail, coeff * mult * n)
     return LinComb(out)
 
 
@@ -142,12 +138,3 @@ def lattice_box(N: int, smax: int):
     """All integer vectors with |s_p| <= smax, lazily, in lexicographic
     order."""
     return product(range(-smax, smax + 1), repeat=N)
-
-
-def enumerate_basis(params: LatticeParams, max_depth: int, smax=0, points=None):
-    """All (osc, s) with oscillator depth <= max_depth and s either in
-    the |.|_inf <= smax box or in an explicit list of points."""
-    if points is None:
-        points = lattice_box(params.N, smax)
-    oscs = enumerate_osc(params.N, max_depth)
-    return [(osc, tuple(s)) for s in points for osc in oscs]

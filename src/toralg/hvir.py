@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .fock import monomials
+from .fock import mono_depth, monomials
 from .lie_table import SimpleLieTable, WeightModule, casimir_eigenvalue
 from .linear import LinComb, add_into, lincomb_add_into
 from .qlinalg import kernel
@@ -323,9 +323,6 @@ class VermaModule:
     def vacuum_state(self, hw_idx=0) -> LinComb:
         return LinComb.single(((), hw_idx))
 
-    def depth(self, mono) -> int:
-        return -sum(mode_of(s) for s in mono)
-
     def _zero_mode(self, sym, hw_idx):
         """Action of a mode-0 symbol on a top-space vector."""
         out = {}
@@ -455,9 +452,6 @@ class OneDimHWModule:
     def vacuum_state(self, hw_idx=0) -> LinComb:
         return LinComb.single(((), hw_idx))
 
-    def depth(self, mono) -> int:
-        return -sum(mode_of(s) for s in mono)
-
     def apply(self, sym, state: LinComb) -> LinComb:
         return LinComb.zero()
 
@@ -499,7 +493,7 @@ class SugawaraOperator:
         dim = self.table.dim
         out = {}
         for (mono, hw_idx), coeff in state.items():
-            d = mod.depth(mono)
+            d = mono_depth(mono)
             vec = LinComb.single((mono, hw_idx), coeff)
             for m in range(n - d, d + 1):
                 first, second = (m, n - m) if m <= n - m else (n - m, m)

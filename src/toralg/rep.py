@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ConfigError, fock
-from .fock import LatticeParams, osc_depth
+from .fock import LatticeParams, mono_depth
 from .hvir import (HVContext, HighestWeightData, OneDimHWModule, VermaModule,
                    cbar_closed_form)
 from .lie_table import MODULE_LABELS, build_slN_table, load_table, \
@@ -48,7 +48,7 @@ from .qlinalg import kernel
 from .scalar import Q, qstr
 from .toroidal import AlgebraParams, TorElement, bracket, gdiv_decompose, \
     gdiv_spanning
-from .vertex import fdepth, mod_depth, nth_product, omega_total, vac_state, \
+from .vertex import mod_depth, nth_product, omega_total, vac_state, \
     vacuum_space, VertexSpace
 
 
@@ -113,16 +113,17 @@ def fbar_centrals(params: ActionParams) -> dict:
     return cents
 
 
-def build_fbar_module(params: ActionParams, vacuum=False):
-    """The f-factor as a PBW module: a generalized Verma module with the
-    prescribed centrals, or the one-dimensional module in rank-0 mode.
-    With vacuum=True builds the vacuum module (h = 0, trivial tops) that
-    carries the vertex-algebra side."""
+def build_fbar_modules(params: ActionParams):
+    """The f-factor as a PBW module, and the vacuum module (h = 0,
+    trivial tops) that carries the vertex-algebra side, both over one
+    bracket context: generalized Verma modules with the prescribed
+    centrals, or the one-dimensional module in rank-0 mode."""
     cents = fbar_centrals(params)
     if params.rank0:
         cents.pop("g", None)
-        return OneDimHWModule(
+        onedim = OneDimHWModule(
             HVContext(vir_central="Vir", allow_heisenberg=False), cents)
+        return onedim, onedim
     alg = params.algebra
     table_g = alg.table if alg.table.dim else None
     table_sl = build_slN_table(alg.N)
@@ -130,17 +131,16 @@ def build_fbar_module(params: ActionParams, vacuum=False):
         table_sl = None
     ctx = HVContext(table_g, table_sl, vir_central="Vir",
                     allow_heisenberg=False)
-    if vacuum:
-        hw = HighestWeightData(
-            0, 0,
-            trivial_module(table_g) if table_g else None,
-            trivial_module(table_sl) if table_sl else None)
-        return VermaModule(ctx, cents, hw, vacuum=True)
     hw = HighestWeightData(
         params.h_bar, 0,
         module_by_label(table_g, params.module_v) if table_g else None,
         module_by_label(table_sl, params.module_w) if table_sl else None)
-    return VermaModule(ctx, cents, hw)
+    vac_hw = HighestWeightData(
+        0, 0,
+        trivial_module(table_g) if table_g else None,
+        trivial_module(table_sl) if table_sl else None)
+    return (VermaModule(ctx, cents, hw),
+            VermaModule(ctx, cents, vac_hw, vacuum=True))
 
 
 class TruncatedModule:
@@ -160,8 +160,7 @@ class TruncatedModule:
         self.depth = int(depth)
         self.smax = int(smax)
         self.lat = params.lattice
-        self.fmod = build_fbar_module(params)
-        self.fvac = build_fbar_module(params, vacuum=True)
+        self.fmod, self.fvac = build_fbar_modules(params)
         self.space = VertexSpace(self.lat, self.fmod)
         self.vacspace = vacuum_space(params.algebra.N, self.fvac)
         self._osc_slices = None
@@ -177,7 +176,7 @@ class TruncatedModule:
         if self._osc_slices is None:
             groups = [[] for _ in range(self.depth + 1)]
             for osc in fock.enumerate_osc(self.N, self.depth):
-                groups[osc_depth(osc)].append(osc)
+                groups[mono_depth(osc)].append(osc)
             self._osc_slices = groups
         return self._osc_slices[d]
 
@@ -231,7 +230,8 @@ class TruncatedModule:
         return self.lat.alpha[p - 1] + w[1][p - 1]
 
     def contains(self, w) -> bool:
-        return (osc_depth(w[0]) <= self.depth and fdepth(w[2]) <= self.depth
+        return (mono_depth(w[0]) <= self.depth
+                and mono_depth(w[2]) <= self.depth
                 and all(abs(x) <= self.smax for x in w[1]))
 
     def contains_comb(self, lc: LinComb) -> bool:
@@ -492,8 +492,8 @@ def verify_virasoro_rank(module: TruncatedModule, omega=None, states=None) -> di
     expected = (2 * N + module.fmod.central("Vir")) / 2
     if states is None:
         states = [w for w in module.basis_at((0,) * N)
-                  if osc_depth(w[0]) + 2 <= module.depth
-                  and fdepth(w[2]) + 2 <= module.depth]
+                  if mono_depth(w[0]) + 2 <= module.depth
+                  and mono_depth(w[2]) + 2 <= module.depth]
     measured = None
     ok = True
     witness = None
@@ -528,21 +528,16 @@ def raising_set(params: AlgebraParams, jmax=2, rmax=1):
 
 
 def singular_scan(module: TruncatedModule, max_degree: int,
-                  jmax=2, rmax=1, points=None):
+                  jmax=2, rmax=1):
     """Exact common kernel of the raising operators on each graded
-    slice above the top. Returns [(degree, lattice point, vector)];
-    an empty list supports irreducibility at desk scale, a non-empty
-    list reports candidates only."""
+    slice above the top at the lattice point 0. Returns
+    [(degree, lattice point, vector)]; an empty list supports
+    irreducibility at desk scale, a non-empty list reports candidates
+    only."""
     if max_degree > module.depth:
         raise ValueError("max_degree exceeds the window depth")
-    if points is None:
-        points = [(0,) * module.N]
+    s0 = (0,) * module.N
     ops = [represent(se.element, module).apply
            for se in raising_set(module.params.algebra, jmax, rmax)]
-    found = []
-    for s0 in points:
-        s0 = tuple(int(x) for x in s0)
-        for d in range(1, max_degree + 1):
-            found.extend((d, s0, vec)
-                         for vec in kernel(module.slice_at(s0, d), ops))
-    return found
+    return [(d, s0, vec) for d in range(1, max_degree + 1)
+            for vec in kernel(module.slice_at(s0, d), ops)]

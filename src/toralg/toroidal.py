@@ -206,10 +206,6 @@ def divergence(x: TorElement) -> dict:
     return out
 
 
-def is_divergence_free(x: TorElement) -> bool:
-    return not divergence(x)
-
-
 def invariant_form(x: TorElement, y: TorElement):
     """The symmetric invariant form on the divergence-free subalgebra:
     (t^r g1 | t^m g2) = delta_{r,-m} (g1|g2), Der pairs with Cen by

@@ -12,7 +12,7 @@ import unittest
 from toralg.characters import (CharacterTable, colored_partition_series,
                                compare_character, graded_character,
                                oscillator_dimensions, sample_lattice_points)
-from toralg.fock import enumerate_osc, osc_depth
+from toralg.fock import enumerate_osc, mono_depth
 from toralg.lie_table import load_table
 from toralg.rep import ActionParams, build_module, rank0_params
 from toralg.scalar import Q
@@ -92,7 +92,7 @@ class TestOscillatorDimensions(unittest.TestCase):
             dims = oscillator_dimensions(N, cap)
             counts = [0] * (cap + 1)
             for osc in enumerate_osc(N, cap):
-                counts[osc_depth(osc)] += 1
+                counts[mono_depth(osc)] += 1
             self.assertEqual(dims.as_list(), counts)
 
     def test_matches_colored_series(self):

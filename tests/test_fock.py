@@ -15,13 +15,10 @@ import unittest
 from toralg.fock import (
     LatticeParams,
     base_weight,
-    enumerate_basis,
     enumerate_osc,
     gamma_pair,
-    hyp_weight,
     lattice_box,
-    osc_depth,
-    osc_pair,
+    mono_depth,
     oscillator_apply,
     vacuum_lattice,
 )
@@ -42,6 +39,16 @@ def fock_space(params):
                                               {"Vir": 0}))
 
 
+def pairing(x, y):
+    """(x|y) for the directions of two oscillator symbols."""
+    return Q(1) if (x[0] != y[0] and x[1] == y[1]) else Q(0)
+
+
+def commutator(params, x, y, state):
+    return oscillator_apply(params, x, oscillator_apply(params, y, state)) \
+        - oscillator_apply(params, y, oscillator_apply(params, x, state))
+
+
 def vst(osc, s):
     """st(osc, s) as a state of fock_space."""
     (canon, s), = st(osc, s).terms
@@ -58,10 +65,14 @@ class TestBasics(unittest.TestCase):
         self.assertEqual(vacuum_lattice(3).alpha, (Q(0), Q(0), Q(0)))
 
     def test_pairings(self):
-        self.assertEqual(osc_pair("u", 1, "v", 1), Q(1))
-        self.assertEqual(osc_pair("u", 1, "v", 2), Q(0))
-        self.assertEqual(osc_pair("u", 1, "u", 1), Q(0))
+        # [x(1), y(-1)] = (x|y) on the vacuum
         p = LatticeParams(2, (Q(1, 3), Q(1, 5)), (1, 0))
+        vac = st([], [0, 0])
+        self.assertEqual(commutator(p, ("u", 1, 1), ("v", 1, -1), vac), vac)
+        self.assertTrue(
+            commutator(p, ("u", 1, 1), ("v", 2, -1), vac).is_zero())
+        self.assertTrue(
+            commutator(p, ("u", 1, 1), ("u", 1, -1), vac).is_zero())
         self.assertEqual(gamma_pair(p, "u", 1, (0, 0)), Q(1))
         self.assertEqual(gamma_pair(p, "u", 2, (5, 5)), Q(0))
         self.assertEqual(gamma_pair(p, "v", 1, (0, 0)), Q(1, 3))
@@ -69,10 +80,12 @@ class TestBasics(unittest.TestCase):
 
     def test_weights(self):
         p = LatticeParams(2, (Q(1, 3), Q(1, 5)), (1, 0))
-        self.assertEqual(hyp_weight(p, ((), (0, 0))), Q(1, 3))
-        self.assertEqual(hyp_weight(p, ((), (-1, 2))), Q(-2, 3))
-        deep = ((("u", 1, -2), ("v", 2, -1)), (0, 0))
-        self.assertEqual(hyp_weight(p, deep), Q(1, 3) + 3)
+        # (alpha+s).beta + oscillator depth, the f-factor adding nothing
+        space = fock_space(p)
+        self.assertEqual(space.mod_weight(((), (0, 0), (), 0)), Q(1, 3))
+        self.assertEqual(space.mod_weight(((), (-1, 2), (), 0)), Q(-2, 3))
+        deep = ((("u", 1, -2), ("v", 2, -1)), (0, 0), (), 0)
+        self.assertEqual(space.mod_weight(deep), Q(1, 3) + 3)
         self.assertEqual(base_weight(p, (3, -7)), Q(10, 3))
 
 
@@ -114,11 +127,10 @@ class TestOscillators(unittest.TestCase):
             x = rng.choice(syms)
             y = rng.choice(syms)
             w = rng.choice(states)
-            lhs = oscillator_apply(self.p, x, oscillator_apply(self.p, y, w)) \
-                - oscillator_apply(self.p, y, oscillator_apply(self.p, x, w))
+            lhs = commutator(self.p, x, y, w)
             expect = LinComb.zero()
             if x[2] == -y[2]:
-                expect = w.scale(Q(x[2]) * osc_pair(x[0], x[1], y[0], y[1]))
+                expect = w.scale(Q(x[2]) * pairing(x, y))
             self.assertEqual(lhs, expect, f"x={x} y={y}")
 
     def test_zero_mode_commutes_with_oscillators(self):
@@ -151,18 +163,22 @@ class TestOscillators(unittest.TestCase):
         self.assertEqual(got, vst([], [0, 0]).scale(7))
 
 
+def basis(N, max_depth, points):
+    """Every (osc, s) with oscillator depth <= max_depth, s in points."""
+    return [(osc, tuple(s)) for s in points
+            for osc in enumerate_osc(N, max_depth)]
+
+
 class TestEnumeration(unittest.TestCase):
     def test_count_examples(self):
-        p12 = LatticeParams(12, (0,) * 12, (0,) * 12)
-        self.assertEqual(len(enumerate_basis(p12, 1, smax=0)), 25)
-        p2 = LatticeParams(2, (0, 0), (0, 0))
-        self.assertEqual(len(enumerate_basis(p2, 2, smax=0)), 19)
+        self.assertEqual(len(basis(12, 1, lattice_box(12, 0))), 25)
+        self.assertEqual(len(basis(2, 2, lattice_box(2, 0))), 19)
 
     def test_depth_layers(self):
         oscs = enumerate_osc(2, 2)
         by_depth = {}
         for o in oscs:
-            by_depth.setdefault(osc_depth(o), []).append(o)
+            by_depth.setdefault(mono_depth(o), []).append(o)
         self.assertEqual({d: len(v) for d, v in by_depth.items()},
                          {0: 1, 1: 4, 2: 14})
         self.assertEqual(len(set(oscs)), len(oscs))
@@ -178,11 +194,10 @@ class TestEnumeration(unittest.TestCase):
 
     def test_box_and_points(self):
         self.assertEqual(len(list(lattice_box(2, 1))), 9)
-        p2 = LatticeParams(2, (0, 0), (0, 0))
         pts = [(0, 0), (3, -3)]
-        basis = enumerate_basis(p2, 1, points=pts)
-        self.assertEqual(len(basis), 10)
-        self.assertTrue(all(s in pts for _, s in basis))
+        states = basis(2, 1, pts)
+        self.assertEqual(len(states), 10)
+        self.assertTrue(all(s in pts for _, s in states))
 
 
 if __name__ == "__main__":

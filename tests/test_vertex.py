@@ -19,10 +19,11 @@ from toralg.hvir import (HVContext, HighestWeightData, OneDimHWModule,
 from toralg.lie_table import load_table, trivial_module
 from toralg.linear import LinComb
 from toralg.scalar import Q
-from toralg.vertex import (VertexSpace, bracket_expand, family_moment,
-                           field_identity_check, nth_product, omega_fbar,
-                           omega_hyp, omega_total, state_derivative,
-                           vac_state, vacuum_space)
+from toralg.vertex import (VertexSpace, nth_product, omega_fbar, omega_hyp,
+                           omega_total, vac_state, vacuum_space)
+
+from shifted_fields import (bracket_expand, family_moment,
+                            field_identity_check, state_derivative)
 
 
 def fbar_vacuum(c_vir, table_sl=None, level_sl=0):
@@ -47,7 +48,9 @@ def fbar_verma(h, c_vir, table_sl=None, level_sl=0):
 
 
 def top(space, s=None):
-    return LinComb.single(space.top_states(s)[0])
+    """The first top state at lattice point s (default 0)."""
+    return LinComb.single(((), (0,) * space.lat.N if s is None else tuple(s),
+                           (), 0))
 
 
 def mstate(osc, s, fmono=(), fh=0):
@@ -176,6 +179,20 @@ class TestVirasoroMoments(unittest.TestCase):
             for w in pool:
                 self.assertEqual(space.mom(cur, m, w),
                                  space.f_op(("sl", 0, -m - 1), w))
+
+
+class TestPeelGuard(unittest.TestCase):
+    def test_translation_mode_in_a_vacuum_state_raises(self):
+        # L(-1) kills the vacuum, so no vacuum-side state holds it; a
+        # moment of one must not be read as some field's moment
+        space = VertexSpace(LatticeParams(1, (Q(1, 3),), (1,)),
+                            fbar_verma(Q(3, 7), -4))
+        w = top(space)
+        for a in [vac_state([], (0,), [("L", -1)]),
+                  vac_state([], (0,), [("L", -1), ("L", -2)]),
+                  vac_state([("u", 1, -1)], (0,), [("L", -1)])]:
+            with self.assertRaises(ValueError):
+                space.mom(a, 0, w)
 
 
 class TestVacuumProducts(unittest.TestCase):
