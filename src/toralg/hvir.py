@@ -452,6 +452,9 @@ class OneDimHWModule:
     def vacuum_state(self, hw_idx=0) -> LinComb:
         return LinComb.single(((), hw_idx))
 
+    def _apply_basis(self, sym, mono, hw_idx) -> LinComb:
+        return LinComb.zero()
+
     def apply(self, sym, state: LinComb) -> LinComb:
         return LinComb.zero()
 
@@ -470,7 +473,13 @@ class OneDimHWModule:
 class SugawaraOperator:
     """L^Sug(n) over one current family of a Verma module, built from
     dual bases of the invariant form. Exact on every state; the normal
-    ordering puts the smaller mode on the left."""
+    ordering puts the smaller mode on the left.
+
+    L^Sug(n) is linear, so apply_mode is the linear extension of its
+    action on basis states, which _mode_basis memoizes per (n, monomial,
+    hw index) with the prefactor already applied. Cached values are only
+    read into fresh dicts (the rule of linear.add_into), and the cache
+    lives and dies with this operator, that is with one suite call."""
 
     def __init__(self, module: VermaModule, fam="g"):
         self.module = module
@@ -482,33 +491,42 @@ class SugawaraOperator:
         if kappa == 0:
             raise ValueError("critical level: Sugawara undefined")
         self.prefactor = Q(1) / (2 * kappa)
-        self.dual = table.dual_basis()
+        dual = table.dual_basis()
+        self._pairs = [(i, k, dual[k][i]) for i in range(table.dim)
+                       for k in range(table.dim) if dual[k][i] != 0]
+        self._cache = {}
 
     def central_charge(self):
         return self.level * self.table.dim / (self.level + self.table.dual_coxeter)
 
     def apply_mode(self, n: int, state: LinComb) -> LinComb:
-        mod = self.module
-        fam = self.fam
-        dim = self.table.dim
         out = {}
         for (mono, hw_idx), coeff in state.items():
-            d = mono_depth(mono)
-            vec = LinComb.single((mono, hw_idx), coeff)
-            for m in range(n - d, d + 1):
-                first, second = (m, n - m) if m <= n - m else (n - m, m)
-                for i in range(dim):
-                    for k in range(dim):
-                        dual_c = self.dual[k][i]
-                        if dual_c == 0:
-                            continue
-                        # normal order :g_i(m) g^i(n-m): ; when reordered the
-                        # pair is (g^i(n-m), g_i(m)) but the sum over i with
-                        # dual coefficients is symmetric under that swap
-                        a = (fam, i, first)
-                        b = (fam, k, second)
-                        add_into(out, mod.apply(a, mod.apply(b, vec)), dual_c)
-        return LinComb(out).scale(self.prefactor)
+            add_into(out, self._mode_basis(n, mono, hw_idx), coeff)
+        return LinComb(out)
+
+    def _mode_basis(self, n, mono, hw_idx) -> LinComb:
+        key = (n, mono, hw_idx)
+        hit = self._cache.get(key)
+        if hit is not None:
+            return hit
+        basis = self.module._apply_basis
+        fam = self.fam
+        d = mono_depth(mono)
+        acc = {}
+        for m in range(n - d, d + 1):
+            first, second = (m, n - m) if m <= n - m else (n - m, m)
+            for i, k, dual_c in self._pairs:
+                # normal order :g_i(m) g^i(n-m): ; when reordered the
+                # pair is (g^i(n-m), g_i(m)) but the sum over i with
+                # dual coefficients is symmetric under that swap
+                inner = basis((fam, k, second), mono, hw_idx)
+                for (mono2, hw2), c in inner.items():
+                    add_into(acc, basis((fam, i, first), mono2, hw2),
+                             c * dual_c)
+        out = LinComb(acc).scale(self.prefactor)
+        self._cache[key] = out
+        return out
 
 
 # singular-vector scan on a plain Verma module ------------------------------

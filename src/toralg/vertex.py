@@ -112,10 +112,10 @@ class VertexSpace:
 
     def f_op(self, fsym, state: LinComb) -> LinComb:
         out = {}
+        basis = self.fmod._apply_basis
         for (osc, s, fm, fh), c in state.items():
-            inner = self.fmod.apply(fsym, LinComb.single((fm, fh), c))
-            for (fm2, fh2), c2 in inner.items():
-                lincomb_add_into(out, (osc, s, fm2, fh2), c2)
+            for (fm2, fh2), c2 in basis(fsym, fm, fh).items():
+                lincomb_add_into(out, (osc, s, fm2, fh2), c2 * c)
         return LinComb(out)
 
     def shift_op(self, r, state: LinComb) -> LinComb:

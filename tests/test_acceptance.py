@@ -31,12 +31,13 @@ from toralg.characters import (colored_partition_series,
 from toralg.lie_table import (adjoint_module, build_slN_table,
                               casimir_eigenvalue, load_table)
 from toralg.linear import LinComb
-from toralg.qlinalg import mat_mul
 from toralg.rep import (ActionParams, build_module, rank0_params,
                         singular_scan, verify_virasoro_rank)
 from toralg.scalar import Q
 from toralg.toroidal import (AlgebraParams, TorElement, bracket, dsym,
                              gsym, invariant_form, ksym)
+
+from qmatrices import mat_mul
 
 SEED = 20260815
 SL2 = load_table("sl2")

@@ -12,7 +12,7 @@ from unittest import mock
 
 from toralg import cli
 from toralg.cli import main
-from toralg.hvir import SugawaraCharges
+from toralg.hvir import SugawaraCharges, SugawaraOperator
 from toralg.lie_table import load_table
 from toralg.rep import ActionParams
 from toralg.scalar import Q, is_rational
@@ -127,6 +127,32 @@ class TestExitCodes(unittest.TestCase):
         by_name = {c["name"]: c for c in rep["checks"]}
         self.assertFalse(by_name["coset-charges"]["pass"])
         self.assertTrue(by_name["cbar-closed-form"]["pass"])
+
+    def test_doubled_sugawara_prefactor_is_one(self):
+        # 2 L^Sug(n) brackets with the currents as 2 (-m) x(n+m), not -m
+        real = SugawaraOperator.__init__
+
+        def planted(self, *args, **kwargs):
+            real(self, *args, **kwargs)
+            self.prefactor = 2 * self.prefactor
+
+        with mock.patch.object(SugawaraOperator, "__init__", planted):
+            code, rep, _ = run_cli("sugawara", "--N", "2")
+        self.assertEqual(code, 1)
+        by_name = {c["name"]: c for c in rep["checks"]}
+        self.assertFalse(by_name["sugawara-commutation"]["pass"])
+        self.assertFalse(by_name["sugawara-virasoro"]["pass"])
+        self.assertTrue(by_name["coset-charges"]["pass"])
+
+    def test_wrong_sugawara_central_charge_is_one(self):
+        real = SugawaraOperator.central_charge
+        with mock.patch.object(SugawaraOperator, "central_charge",
+                               lambda self: real(self) + 1):
+            code, rep, _ = run_cli("sugawara", "--N", "2")
+        self.assertEqual(code, 1)
+        by_name = {c["name"]: c for c in rep["checks"]}
+        self.assertFalse(by_name["sugawara-virasoro"]["pass"])
+        self.assertTrue(by_name["sugawara-commutation"]["pass"])
 
     def test_commutator_error_is_not_a_skip(self):
         # only an empty safe zone skips a pair; any other error in

@@ -34,9 +34,11 @@ from toralg.lie_table import (
     load_table,
     trivial_module,
 )
+from toralg.fock import mono_depth
 from toralg.linear import LinComb
-from toralg.qlinalg import identity, mat_mul
 from toralg.scalar import Q
+
+from qmatrices import mat_mul
 
 SL2 = load_table("sl2")
 SLN2 = build_slN_table(2)
@@ -372,6 +374,87 @@ class TestSugawara(unittest.TestCase):
         l0 = SugawaraOperator(adj, "g").apply_mode
         hw = adj.vacuum_state()
         self.assertEqual(l0(0, hw), hw.scale(Q(2, 3)))
+
+
+def reference_mode(mod, fam, n, state):
+    """L^Sug(n) by its defining formula, independently of
+    SugawaraOperator: for every basis state, a double apply over the
+    dual basis for each split m + (n - m) = n (a window wider than the
+    nonzero one), then the prefactor 1 / (2 (k + h^vee))."""
+    table = mod.ctx.table(fam)
+    dual = table.dual_basis()
+    level = mod.central(fam)
+    out = LinComb.zero()
+    for (mono, hw_idx), coeff in state.items():
+        d = mono_depth(mono)
+        vec = LinComb.single((mono, hw_idx), coeff)
+        for m in range(n - d - 2, d + 3):
+            first, second = sorted((m, n - m))
+            for i in range(table.dim):
+                for k in range(table.dim):
+                    if dual[k][i] != 0:
+                        out = out + mod.apply(
+                            (fam, i, first),
+                            mod.apply((fam, k, second), vec)).scale(dual[k][i])
+    return out.scale(Q(1, 2) / (level + table.dual_coxeter))
+
+
+class TestSugawaraCache(unittest.TestCase):
+    """apply_mode is the linear extension of a cached action on basis
+    states; it must agree with the defining formula, for every n, on
+    multi-term states, and its cached values must never change."""
+
+    def affine(self, table, V, level):
+        ctx = HVContext(table, None, "Vir", True)
+        return VermaModule(ctx, {"g": Q(level)},
+                           HighestWeightData(module_g=V),
+                           has_vir=False, has_hei=False)
+
+    def states(self, mod):
+        """Multi-term states over every top vector, up to depth 3."""
+        dim = mod.ctx.table_g.dim
+        top = LinComb.zero()
+        for idx in range(mod.hw_dim):
+            top = top + mod.vacuum_state(idx).scale(Q(idx + 1, 2))
+        one = mod.apply(("g", 0, -1), top)
+        two = mod.apply_many([("g", dim - 1, -1), ("g", 0, -1)], top)
+        three = mod.apply_many([("g", dim // 2, -2), ("g", dim - 1, -1)], top)
+        return [top, one + top.scale(3), two - one.scale(Q(2, 5)),
+                three + two + top]
+
+    def test_equals_defining_formula(self):
+        sl3 = load_table("sl3")
+        modules = [("sl2 adjoint", self.affine(SL2, adjoint_module(SL2), 1)),
+                   ("sl2 trivial", self.affine(SL2, trivial_module(SL2),
+                                               Q(3, 2))),
+                   ("sl3 adjoint", self.affine(sl3, adjoint_module(sl3), 2))]
+        for name, mod in modules:
+            op = SugawaraOperator(mod, "g")
+            states = self.states(mod)
+            for n in range(-3, 4):
+                for v in states:
+                    with self.subTest(module=name, n=n):
+                        self.assertEqual(op.apply_mode(n, v),
+                                         reference_mode(mod, "g", n, v))
+
+    def test_overlapping_modes_leave_cached_values_alone(self):
+        mod = self.affine(SL2, adjoint_module(SL2), 1)
+        op = SugawaraOperator(mod, "g")
+        basis = [LinComb.single(s) for d in (0, 1, 2)
+                 for s in mod.slice_basis(d)]
+        for n in range(-2, 3):
+            for v in basis:
+                op.apply_mode(n, v)
+        snapshot = {k: dict(v.terms) for k, v in op._cache.items()}
+        # sums whose first coefficient is 1, over cached basis states,
+        # and modes of modes, which reuse cached values as inputs
+        for n in range(-2, 3):
+            for v, w in zip(basis, basis[1:]):
+                op.apply_mode(n, v + w.scale(2))
+                op.apply_mode(n, op.apply_mode(-n, v))
+        self.assertGreater(len(op._cache), len(snapshot))
+        for k, terms in snapshot.items():
+            self.assertEqual(op._cache[k].terms, terms, k)
 
 
 class TestSingularScan(unittest.TestCase):

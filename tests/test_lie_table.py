@@ -11,8 +11,9 @@ from toralg.lie_table import (
     trivial_module,
     validate_lie_table,
 )
-from toralg.qlinalg import mat_mul
 from toralg.scalar import Q, ZERO
+
+from qmatrices import mat_mul
 
 
 def brute_casimir_on_adjoint(table):
