@@ -247,7 +247,8 @@ def _draw_keys(params: AlgebraParams, jmax: int, rmax: int, rng,
     """Seeded spanning elements drawn key by key (never materializes
     the full set, whose lattice box is huge at large N). The lattice
     part of each degree has at most two nonzero entries, which keeps
-    the sampled operators desk-sized at every rank."""
+    the sampled operators desk-sized at every rank. Raises ConfigError
+    when the guard runs out before count nonzero elements are drawn."""
     N = params.N
     kinds = ["k0", "k", "dp", "dab", "dhat"]
     if params.table.dim:
@@ -281,6 +282,10 @@ def _draw_keys(params: AlgebraParams, jmax: int, rmax: int, rng,
         el = spanning_element(params, key)
         if not el.is_zero():
             out.append((key, el))
+    if len(out) < count:
+        raise ConfigError(f"drew {len(out)} of {count} nonzero spanning "
+                          "elements; the mode and element bounds leave "
+                          "too few")
     return out
 
 

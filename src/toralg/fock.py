@@ -54,7 +54,7 @@ def osc_key(sym):
 def gamma_pair(params: LatticeParams, kind, p, s):
     """(x | gamma) for gamma = (alpha+s)u + beta v at shift s."""
     if kind == "u":
-        return Q(params.beta[p - 1])
+        return params.beta[p - 1]
     return params.alpha[p - 1] + s[p - 1]
 
 
@@ -91,7 +91,7 @@ def oscillator_apply(params: LatticeParams, sym, state: LinComb) -> LinComb:
                 rest = list(osc)
                 rest.remove(partner)
                 lincomb_add_into(out, (tuple(rest),) + tail, coeff * mult * n)
-    return LinComb(out)
+    return LinComb.adopt(out)
 
 
 def monomials(gens_at, key, depth: int):

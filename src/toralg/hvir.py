@@ -112,7 +112,7 @@ def bracket_modes(a, b, ctx: HVContext):
         raise ValueError("Heisenberg modes are not part of the barred algebra")
     if "Vir" in cents and ctx.vir_central != "Vir":
         cents[ctx.vir_central] = cents.pop("Vir")
-    return LinComb(modes), cents
+    return LinComb.adopt(modes), cents
 
 
 def symbolic_bracket(x: LinComb, y: LinComb, ctx: HVContext) -> LinComb:
@@ -131,7 +131,7 @@ def symbolic_bracket(x: LinComb, y: LinComb, ctx: HVContext) -> LinComb:
                 lincomb_add_into(out, sym, f * c)
             for name, c in cents.items():
                 lincomb_add_into(out, ("C", name), f * c)
-    return LinComb(out)
+    return LinComb.adopt(out)
 
 
 def rho_sigma(x: LinComb, sigma) -> LinComb:
@@ -162,7 +162,7 @@ def rho_sigma(x: LinComb, sigma) -> LinComb:
             raise ValueError("barred elements cannot contain Heisenberg modes")
         else:
             lincomb_add_into(out, sym, coeff)
-    return LinComb(out)
+    return LinComb.adopt(out)
 
 
 # central-charge bookkeeping -------------------------------------------------
@@ -381,7 +381,7 @@ class VermaModule:
                     add_into(acc, self._apply_basis(bsym, rest, hw_idx), c)
                 lincomb_add_into(acc, (rest, hw_idx), sum(
                     (c * self.central(name) for name, c in cents.items()), ZERO))
-                out = LinComb(acc)
+                out = LinComb.adopt(acc)
         self._apply_cache[key] = out
         return out
 
@@ -389,7 +389,7 @@ class VermaModule:
         out = {}
         for (mono, hw_idx), coeff in state.items():
             add_into(out, self._apply_basis(sym, mono, hw_idx), coeff)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def apply_many(self, syms, state: LinComb) -> LinComb:
         """Apply a product of mode symbols, rightmost first."""
@@ -503,7 +503,7 @@ class SugawaraOperator:
         out = {}
         for (mono, hw_idx), coeff in state.items():
             add_into(out, self._mode_basis(n, mono, hw_idx), coeff)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def _mode_basis(self, n, mono, hw_idx) -> LinComb:
         key = (n, mono, hw_idx)
@@ -524,7 +524,7 @@ class SugawaraOperator:
                 for (mono2, hw2), c in inner.items():
                     add_into(acc, basis((fam, i, first), mono2, hw2),
                              c * dual_c)
-        out = LinComb(acc).scale(self.prefactor)
+        out = LinComb.adopt(acc).scale(self.prefactor)
         self._cache[key] = out
         return out
 

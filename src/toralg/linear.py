@@ -8,7 +8,7 @@ dumps is sorted by the caller's key.
 
 from __future__ import annotations
 
-from .scalar import Q, ZERO
+from .scalar import EXACT_TYPES, Q, ZERO
 
 
 class LinComb:
@@ -33,8 +33,20 @@ class LinComb:
     @classmethod
     def single(cls, sym, coeff=1):
         out = cls.__new__(cls)
-        c = Q(coeff)
+        c = coeff if type(coeff) in EXACT_TYPES else Q(coeff)
         out.terms = {} if c == 0 else {sym: c}
+        return out
+
+    @classmethod
+    def adopt(cls, d: dict):
+        """Wrap d as a LinComb without copying it. Sound for a dict
+        built only by add_into and lincomb_add_into: they never store a
+        zero, and a dict has one entry per symbol, so d is already in
+        canonical form and LinComb(d) would copy it unchanged. The
+        caller hands d over: it must not be written after the wrap,
+        since the LinComb may be cached and shared."""
+        out = cls.__new__(cls)
+        out.terms = d
         return out
 
     @classmethod
@@ -71,7 +83,11 @@ class LinComb:
         return self.scale(-1)
 
     def scale(self, coeff):
-        c = Q(coeff)
+        """coeff * self; self for a coefficient of 1 (combinations are
+        never written in place, so sharing is safe)."""
+        if coeff == 1:
+            return self
+        c = coeff if type(coeff) in EXACT_TYPES else Q(coeff)
         out = LinComb.__new__(LinComb)
         if c == 0:
             out.terms = {}

@@ -385,7 +385,7 @@ class RepOperator:
         out = {}
         for _j, _r, fn, coeff in self.pieces:
             add_into(out, fn(state), coeff)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     __call__ = apply
 
@@ -482,14 +482,17 @@ def verify_commutator(x: TorElement, y: TorElement, module: TruncatedModule,
 def verify_virasoro_rank(module: TruncatedModule, omega=None, states=None) -> dict:
     """[L(2), L(-2)] - 4 L(0) of the carrier's Virasoro field must be
     the scalar (2N + cbar)/2 (lattice rank plus the f-factor central).
-    An explicit omega overrides the canonical one (falsification
-    fixtures pass a perturbed vector)."""
+    cbar is the closed form of the algebra parameters, not the central
+    the f-factor was built with, so an f-factor carrying a wrong
+    central fails. An explicit omega overrides the canonical one
+    (falsification fixtures pass a perturbed vector)."""
     if module.depth < 3:
         raise ValueError("window too small")
     space = module.space
     N = module.N
+    alg = module.params.algebra
     om = omega_total(N) if omega is None else omega
-    expected = (2 * N + module.fmod.central("Vir")) / 2
+    expected = (2 * N + cbar_closed_form(N, alg.mu, alg.c)) / 2
     if states is None:
         states = [w for w in module.basis_at((0,) * N)
                   if mono_depth(w[0]) + 2 <= module.depth

@@ -5,9 +5,18 @@ precision rationals kept in lowest terms with positive denominator, which
 is exactly what gmpy2.mpq (fast) and fractions.Fraction (always available)
 both guarantee. gmpy2 is the declared dependency; the Fraction fallback
 keeps the package importable on interpreters without the C extension.
+
+A coefficient is an int or a value of the backend rational type, never
+a float. Integral values may stay ints (binom of an int top, the
+lattice pairings, unit coefficients): int and rational arithmetic mix
+exactly, and an integral rational equals and hashes like its int. For
+that reason every `/` in the package has a rational operand, so that no
+int / int quotient can turn into a float.
 """
 
 from __future__ import annotations
+
+from math import factorial
 
 try:
     from gmpy2 import mpq as _mpq
@@ -15,21 +24,21 @@ try:
     def Q(num=0, den=1):
         return _mpq(num, den)
 
-    _RAT_TYPES = (type(_mpq(0)), int)
+    EXACT_TYPES = (type(_mpq(0)), int)
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as _Fraction
 
     def Q(num=0, den=1):
         return _Fraction(num, den)
 
-    _RAT_TYPES = (_Fraction, int)
+    EXACT_TYPES = (_Fraction, int)
 
 ZERO = Q(0)
 ONE = Q(1)
 
 
 def is_rational(x) -> bool:
-    return isinstance(x, _RAT_TYPES)
+    return isinstance(x, EXACT_TYPES)
 
 
 def qstr(x) -> str:
@@ -53,22 +62,21 @@ def parse_q(s) -> "Q":
 
 
 def binom(top, k: int):
-    """Exact binomial with arbitrary (possibly negative rational) top."""
+    """Exact binomial with arbitrary (possibly negative rational) top.
+
+    An int top gives an int: the product of k consecutive integers is
+    divisible by k!, so the floor division is exact."""
     if k < 0:
         return ZERO
+    if type(top) is int:
+        out = 1
+        for i in range(k):
+            out *= top - i
+        return out // factorial(k)
     out = ONE
     top = Q(top)
     for i in range(k):
         out = out * (top - i)
     for i in range(2, k + 1):
         out = out / i
-    return out
-
-
-def falling(top, k: int):
-    """Falling factorial top*(top-1)*...*(top-k+1), exact."""
-    out = ONE
-    top = Q(top)
-    for i in range(k):
-        out = out * (top - i)
     return out

@@ -92,7 +92,7 @@ def kreduce(lc: LinComb) -> LinComb:
         for q in range(len(s)):
             if q != piv and s[q] != 0:
                 lincomb_add_into(out, ("k", s, q), scale * Q(s[q]))
-    return LinComb(out)
+    return LinComb.adopt(out)
 
 
 class TorElement:
@@ -191,7 +191,7 @@ def bracket(x: TorElement, y: TorElement) -> TorElement:
     for a, ca in x.lc.items():
         for b, cb in y.lc.items():
             _bracket_syms(a, b, x.params, out, ca * cb)
-    return TorElement(LinComb(out), x.params)
+    return TorElement(LinComb.adopt(out), x.params)
 
 
 def divergence(x: TorElement) -> dict:

@@ -66,7 +66,7 @@ def mod_depth(w) -> int:
 def omega_hyp(N: int) -> LinComb:
     """The lattice Virasoro vector sum_p u_p(-1) v_p(-1) 1 (rank 2N)."""
     zero_r = (0,) * N
-    return LinComb([(vac_state([("u", p, -1), ("v", p, -1)], zero_r), ONE)
+    return LinComb([(vac_state([("u", p, -1), ("v", p, -1)], zero_r), 1)
                     for p in range(1, N + 1)])
 
 
@@ -108,7 +108,7 @@ class VertexSpace:
         out = {}
         for sym, c in op.items():
             add_into(out, self.osc_op(sym, state), c)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def f_op(self, fsym, state: LinComb) -> LinComb:
         out = {}
@@ -116,14 +116,14 @@ class VertexSpace:
         for (osc, s, fm, fh), c in state.items():
             for (fm2, fh2), c2 in basis(fsym, fm, fh).items():
                 lincomb_add_into(out, (osc, s, fm2, fh2), c2 * c)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def shift_op(self, r, state: LinComb) -> LinComb:
         out = {}
         for (osc, s, fm, fh), c in state.items():
             s2 = tuple(si + ri for si, ri in zip(s, r))
             lincomb_add_into(out, (osc, s2, fm, fh), c)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     # -- moments -------------------------------------------------------------
 
@@ -137,7 +137,7 @@ class VertexSpace:
         else:
             for w, c in state.items():
                 add_into(out, self._mom_basis(a, m, w), c)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def _mom_basis(self, a, m, w) -> LinComb:
         key = (a, m, w)
@@ -145,19 +145,22 @@ class VertexSpace:
         if hit is not None:
             return hit
         osc_a, r, fmono_a = a
-        # weight floor of the target lattice point
-        if mod_depth(w) + vac_weight(a) + m < self.rbeta(r):
+        # weight floor of the target lattice point: the least m at which
+        # mom(a, m) w can be nonzero
+        pmin = self.rbeta(r) - mod_depth(w) - vac_weight(a)
+        if m < pmin:
             out = LinComb.zero()
         elif osc_a or fmono_a:
-            out = self._peel(a, m, w)
+            out = self._peel(a, m, w, pmin)
         else:
             out = self._lattice_mom(r, m, w)
         self._cache[key] = out
         return out
 
-    def _peel(self, a, m, w):
+    def _peel(self, a, m, w, pmin):
         """mom(a, m) w for a = x(-n) b with x the head symbol of a: the
-        peel rule of the module docstring."""
+        peel rule of the module docstring. pmin is the weight floor of
+        mom(a, .) w; b weighs n less than a, so its floor is pmin + n."""
         osc_a, r, fmono_a = a
         if osc_a:
             sym, b = osc_a[0], (osc_a[1:], r, fmono_a)
@@ -182,16 +185,16 @@ class VertexSpace:
                 add_into(out, self.mom(b, m + j + n, xw), c)
         # creation half: x(j), j <= -wt, applied last; bounded by the
         # weight floor for the inner moment
-        pmin = self.rbeta(r) - mod_depth(w) - vac_weight(b)
+        pmin_b = pmin + n
         j = -wt
-        while m + j + n >= pmin:
+        while m + j + n >= pmin_b:
             c = binom(-j - wt, n - wt)
             if c != 0:
                 inner = self.mom(b, m + j + n, wlc)
                 if inner:
                     add_into(out, op(head + (j,), inner), c)
             j -= 1
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def _lattice_mom(self, r, m, w):
         if not any(r):
@@ -203,10 +206,10 @@ class VertexSpace:
             need = m - rbeta + t
             if need >= 0:
                 add_into(out, self._eminus(r, need, lc))
-        return LinComb(out)
+        return LinComb.adopt(out)
 
     def _ru_op(self, r, mode):
-        return LinComb([(("u", p, mode), Q(r[p - 1]))
+        return LinComb([(("u", p, mode), r[p - 1])
                         for p in range(1, self.lat.N + 1) if r[p - 1]])
 
     def _eplus(self, r, state: LinComb):
@@ -230,7 +233,7 @@ class VertexSpace:
                     k += 1
                     coeff = coeff * Q(-1, jm * k)
                     cur = self.osc_op_comb(op, cur)
-            out = {t: LinComb(d) for t, d in new.items()}
+            out = {t: LinComb.adopt(d) for t, d in new.items()}
         return out
 
     def _eminus(self, r, D, state: LinComb):
@@ -257,7 +260,7 @@ class VertexSpace:
                     rec(remaining - j * k, j - 1, cur, c)
 
         rec(D, D, state, ONE)
-        return LinComb(out)
+        return LinComb.adopt(out)
 
 
 def vacuum_space(N: int, fvac) -> VertexSpace:
@@ -283,6 +286,6 @@ def nth_product(space: VertexSpace, a, n: int, b) -> LinComb:
         out = {}
         for bt, bc in b.items():
             add_into(out, nth_product(space, a, n, bt), bc)
-        return LinComb(out)
+        return LinComb.adopt(out)
     got = space.mom(a, -n - 1, LinComb.single(_embed(b)))
     return LinComb([(_project(w), c) for w, c in got.items()])

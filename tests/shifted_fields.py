@@ -10,8 +10,17 @@ and state_derivative tests them against the translation axiom.
 from math import factorial
 
 from toralg.linear import LinComb, add_into, lincomb_add_into
-from toralg.scalar import Q, binom, falling
+from toralg.scalar import ONE, Q, binom
 from toralg.vertex import VertexSpace, nth_product, vac_state, vac_weight
+
+
+def falling(top, k: int):
+    """Falling factorial top*(top-1)*...*(top-k+1), exact."""
+    out = ONE
+    top = Q(top)
+    for i in range(k):
+        out = out * (top - i)
+    return out
 
 
 def as_family(x):

@@ -7,16 +7,17 @@ import contextlib
 import io
 import json
 import os
+import random
 import unittest
 from unittest import mock
 
-from toralg import cli
+from toralg import ConfigError, cli, rep as rep_mod, vertex
 from toralg.cli import main
-from toralg.hvir import SugawaraCharges, SugawaraOperator
+from toralg.hvir import SugawaraCharges, SugawaraOperator, VermaModule
 from toralg.lie_table import load_table
-from toralg.rep import ActionParams
-from toralg.scalar import Q, is_rational
-from toralg.toroidal import AlgebraParams
+from toralg.rep import ActionParams, rank0_params
+from toralg.scalar import Q, is_rational, parse_q
+from toralg.toroidal import AlgebraParams, TorElement
 
 
 def run_cli(*argv, err=None):
@@ -114,6 +115,40 @@ class TestExitCodes(unittest.TestCase):
         code, _, _ = run_cli("singular-scan", "--thm56", "--max-degree", "1")
         self.assertEqual(code, 2)
 
+    def test_wrong_fbar_virasoro_central_is_one(self):
+        # virasoro-rank expects (2N + cbar)/2 with cbar the closed form of
+        # the algebra parameters, so an f-factor built with cbar + 1 or
+        # cbar - 1 must fail it
+        real = rep_mod.fbar_centrals
+        for delta in (1, -1):
+            def planted(params, delta=delta):
+                cents = real(params)
+                cents["Vir"] = cents["Vir"] + delta
+                return cents
+
+            with self.subTest(delta=delta):
+                with mock.patch.object(rep_mod, "fbar_centrals", planted):
+                    code, rep, _ = run_cli("verify-action", "--depth", "3")
+                self.assertEqual(code, 1)
+                by_name = {c["name"]: c for c in rep["checks"]}
+                vrank = by_name["virasoro-rank"]
+                self.assertFalse(vrank["pass"])
+                gap = parse_q(vrank["measured"]) - parse_q(vrank["expected"])
+                self.assertEqual(gap, Q(delta, 2))
+
+    def test_short_key_pool_is_two(self):
+        # when every drawn key gives a zero element, the pool cannot fill
+        # and the suite must say so instead of sampling from less
+        with mock.patch.object(cli, "spanning_element",
+                               lambda params, key: TorElement.zero(params)):
+            code, rep, _ = run_cli("verify-action", "--depth", "2",
+                                   "--samples", "3", "--seed", "2")
+            self.assertEqual(code, 2)
+            self.assertIsNone(rep)
+            with self.assertRaisesRegex(ConfigError, "drew 0 of 4"):
+                cli._draw_keys(AlgebraParams(2, load_table("sl2")), 2, 1,
+                               random.Random(1), 4)
+
     def test_wrong_coset_charge_is_one(self):
         real = cli.sugawara_charges
 
@@ -180,28 +215,55 @@ class TestExitCodes(unittest.TestCase):
 
 class TestExactness(unittest.TestCase):
     def test_no_float_reaches_a_moment(self):
-        # the weight floor compares integers; every coefficient that the
-        # moment caches hold after a suite run must stay an exact rational
-        ap = ActionParams(AlgebraParams(2, load_table("sl2")),
-                          (Q(1, 3), Q(1, 5)), (1, -1), h_bar=Q(1, 7))
+        # the weight floor compares integers, and integral coefficients
+        # may stay ints; every coefficient that the moment caches and the
+        # f-factor's basis-action caches hold after a suite run must stay
+        # an exact rational, at general points and at the rank-0 point.
+        # At mu = 0 the dhat head has no u_p(-2) term and the sampled
+        # rank-0 pairs never peel it above its weight floor; the suite at
+        # mu c != 0 does, so some peel takes a binomial with k >= 1
+        table = load_table("sl2")
+        point = ((Q(1, 3), Q(1, 5)), (1, -1))
+        ap = ActionParams(AlgebraParams(2, table), *point, h_bar=Q(1, 7))
+        ap_mu = ActionParams(AlgebraParams(2, table, mu=Q(1, 2), c=Q(3, 4)),
+                             *point, h_bar=Q(1, 7))
         built = []
-        real = cli.build_module
+        real_build, real_binom = cli.build_module, vertex.binom
+        binom_ks = set()
 
         def spy(*args):
-            built.append(real(*args))
+            built.append(real_build(*args))
             return built[-1]
 
-        with mock.patch.object(cli, "build_module", spy):
+        def binom_spy(top, k):
+            binom_ks.add(k)
+            return real_binom(top, k)
+
+        with mock.patch.object(cli, "build_module", spy), \
+                mock.patch.object(vertex, "binom", binom_spy):
             checks = cli.action_suite(ap, 2, 1, 2, 1, 3, 2) \
-                + cli.scan_suite(ap, 2, 1, 1, 1, 1)
+                + cli.scan_suite(ap, 2, 1, 1, 1, 1) \
+                + cli.action_suite(ap_mu, 2, 1, 2, 1, 3, 1) \
+                + cli.action_suite(rank0_params(), 3, 1, 2, 1, 5, 20260821)
         self.assertTrue(all(c["pass"] for c in checks))
-        coeffs = [c for module in built
-                  for space in (module.space, module.vacspace)
-                  for lc in space._cache.values() for _sym, c in lc.items()]
-        self.assertGreater(len(coeffs), 0)
-        for c in coeffs:
-            self.assertNotIsInstance(c, float)
-            self.assertTrue(is_rational(c), repr(c))
+        self.assertEqual([m.params.rank0 for m in built],
+                         [False, False, False, True])
+        self.assertGreater(max(binom_ks), 0)
+        caches = {"vertex": [space._cache for module in built
+                             for space in (module.space, module.vacspace)],
+                  "f-factor": [f._apply_cache for module in built
+                               for f in (module.fmod, module.fvac)
+                               if isinstance(f, VermaModule)]}
+        for layer, found in caches.items():
+            coeffs = [c for cache in found for lc in cache.values()
+                      for _sym, c in lc.items()]
+            with self.subTest(layer=layer):
+                self.assertGreater(len(coeffs), 0)
+                for c in coeffs:
+                    self.assertNotIsInstance(c, float)
+                    self.assertTrue(is_rational(c), repr(c))
+        rank0 = built[-1].space._cache
+        self.assertGreater(sum(len(lc.terms) for lc in rank0.values()), 0)
 
 
 class TestReports(unittest.TestCase):
