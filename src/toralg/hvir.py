@@ -375,7 +375,9 @@ class VermaModule:
             else:
                 # sym.head = head.sym + [sym, head]
                 inner = self._apply_basis(sym, rest, hw_idx)
-                acc = dict(self.apply(head, inner).terms)
+                # apply builds a fresh dict and hands it to nobody
+                # else, so it is extended in place
+                acc = self.apply(head, inner).terms
                 modes, cents = bracket_modes(sym, head, self.ctx)
                 for bsym, c in modes.items():
                     add_into(acc, self._apply_basis(bsym, rest, hw_idx), c)

@@ -481,10 +481,10 @@ def verify_commutator(x: TorElement, y: TorElement, module: TruncatedModule,
 
 def verify_virasoro_rank(module: TruncatedModule, omega=None, states=None) -> dict:
     """[L(2), L(-2)] - 4 L(0) of the carrier's Virasoro field must be
-    the scalar (2N + cbar)/2 (lattice rank plus the f-factor central).
-    cbar is the closed form of the algebra parameters, not the central
-    the f-factor was built with, so an f-factor carrying a wrong
-    central fails. An explicit omega overrides the canonical one
+    the scalar (2N + cbar)/2 (lattice rank plus the closed-form barred
+    central). cbar is the closed form of the algebra parameters, not
+    the central the f-factor was built with, so an f-factor carrying a
+    wrong central fails. An explicit omega overrides the canonical one
     (falsification fixtures pass a perturbed vector)."""
     if module.depth < 3:
         raise ValueError("window too small")

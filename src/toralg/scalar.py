@@ -61,22 +61,19 @@ def parse_q(s) -> "Q":
     raise ValueError(f"not a rational literal: {s!r}")
 
 
-def binom(top, k: int):
-    """Exact binomial with arbitrary (possibly negative rational) top.
+def binom(top, k: int) -> int:
+    """Exact binomial with an integer (possibly negative) top.
 
-    An int top gives an int: the product of k consecutive integers is
-    divisible by k!, so the floor division is exact."""
+    The top is an int or an integral rational; any other top raises
+    ValueError. The product of k consecutive integers is divisible by
+    k!, so the floor division is exact and the result is an int."""
     if k < 0:
-        return ZERO
-    if type(top) is int:
-        out = 1
-        for i in range(k):
-            out *= top - i
-        return out // factorial(k)
-    out = ONE
-    top = Q(top)
+        return 0
+    if type(top) is not int:
+        if getattr(top, "denominator", None) != 1:
+            raise ValueError(f"binom needs an integral top, got {top!r}")
+        top = int(top)
+    out = 1
     for i in range(k):
-        out = out * (top - i)
-    for i in range(2, k + 1):
-        out = out / i
-    return out
+        out *= top - i
+    return out // factorial(k)
